@@ -113,78 +113,11 @@ BENCHMARK(BM_AuthorizeCompiledScan)
     ->Arg(100000)
     ->Arg(200000);
 
-// Tuple-space pre-classification (DESIGN.md §5g) against the bucket scan
-// above, at matched rule counts: instead of walking every candidate record,
-// Authorize hashes the request's exact-match dimensions (subject, resolved
-// entrypoint, object, --ino) into the per-bucket tuple tables and evaluates
-// only the surviving slices plus the residual. The synthetic distributor
-// base is all entrypoint rules, so the probe resolves one tuple (or none)
-// and latency stays flat while the scan path grows linearly — the scaling
-// headline the bench-smoke CI job asserts (100k within 3x of 1218).
-void BM_AuthorizeTupleScan(benchmark::State& state) {
-  EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
-                   /*indexed=*/false);
-  fx.sys.engine->config().compiled_eval = true;
-  fx.sys.engine->config().tuple_dispatch = true;
-  sim::AccessRequest req = fx.OpenRequest();
-  for (auto _ : state) {
-    ++fx.task.syscall_count;
-    benchmark::DoNotOptimize(fx.sys.engine->Authorize(req));
-  }
-  state.SetItemsProcessed(state.iterations());
-  const core::ClassifierStats cs =
-      core::ComputeClassifierStats(fx.sys.engine->PublishedRuleset()->program);
-  state.counters["tuples"] = static_cast<double>(cs.tuples);
-  state.counters["max_slice"] = static_cast<double>(cs.max_slice);
-  state.counters["residual"] = static_cast<double>(cs.residual_rules);
-}
-BENCHMARK(BM_AuthorizeTupleScan)
-    ->Arg(1218)
-    ->Arg(10000)
-    ->Arg(50000)
-    ->Arg(100000)
-    ->Arg(200000);
-
-// Tuple dispatch layered over the entrypoint-indexed chains: the classifier
-// takes precedence in ExecChain, so this measures the combined configuration
-// a production commit would run (both features on).
-void BM_AuthorizeTupleIndexed(benchmark::State& state) {
-  EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
-                   /*indexed=*/true);
-  fx.sys.engine->config().compiled_eval = true;
-  fx.sys.engine->config().tuple_dispatch = true;
-  sim::AccessRequest req = fx.OpenRequest();
-  for (auto _ : state) {
-    ++fx.task.syscall_count;
-    benchmark::DoNotOptimize(fx.sys.engine->Authorize(req));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AuthorizeTupleIndexed)
-    ->Arg(1218)
-    ->Arg(10000)
-    ->Arg(50000)
-    ->Arg(100000)
-    ->Arg(200000);
-
-// The compiled evaluator with the computed-goto threaded dispatcher turned
-// off: the same arena program run through the portable switch loop. The
-// delta against BM_AuthorizeCompiledScan is the pure dispatch-strategy win;
-// the bench-smoke CI job asserts threaded <= switch <= legacy medians.
-void BM_AuthorizeSwitchScan(benchmark::State& state) {
-  EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
-                   /*indexed=*/false);
-  fx.sys.engine->config().compiled_eval = true;
-  fx.sys.engine->config().threaded_eval = false;
-  sim::AccessRequest req = fx.OpenRequest();
-  for (auto _ : state) {
-    ++fx.task.syscall_count;
-    benchmark::DoNotOptimize(fx.sys.engine->Authorize(req));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AuthorizeSwitchScan)->Arg(16)->Arg(128)->Arg(512)->Arg(1218)->Arg(2048);
-
+// The shipped dispatch path: the compiled evaluator over the entrypoint-
+// indexed chains. The synthetic distributor base is all entrypoint rules, so
+// the index resolves one rule list (or none) and latency stays flat while
+// BM_AuthorizeCompiledScan grows linearly — the scaling headline the
+// bench-smoke CI job asserts (100k within 3x of 1218).
 void BM_AuthorizeCompiledIndexed(benchmark::State& state) {
   EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
                    /*indexed=*/true);
@@ -196,7 +129,15 @@ void BM_AuthorizeCompiledIndexed(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_AuthorizeCompiledIndexed)->Arg(16)->Arg(128)->Arg(512)->Arg(1218)->Arg(2048);
+BENCHMARK(BM_AuthorizeCompiledIndexed)
+    ->Arg(16)
+    ->Arg(128)
+    ->Arg(512)
+    ->Arg(1218)
+    ->Arg(2048)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(200000);
 
 // The tracing tax with every tracepoint stream live (decision + rule +
 // ctx + vcache records, latency histograms): compare against
@@ -259,8 +200,6 @@ void BM_CompileProgram(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   auto snap = sys.engine->CompileRuleset();
   state.counters["arena_words"] = static_cast<double>(snap->program.arena.size());
-  state.counters["classifier_ns"] =
-      static_cast<double>(snap->program.classifier_build_ns);
   state.counters["automata_ns"] = static_cast<double>(snap->program.automata_build_ns);
 }
 BENCHMARK(BM_CompileProgram)->Arg(128)->Arg(1218)->Arg(2048)->Arg(100000);
@@ -320,7 +259,7 @@ BENCHMARK(BM_IncrementalCommit)->Arg(1218)->Arg(100000);
 
 // The load-time verifier pass alone, over an already-lowered program: the
 // marginal cost verification adds to every commit. The bench-smoke CI job
-// asserts it stays under 5% of BM_CompileProgram at 1218 rules.
+// asserts it stays under 10% of BM_CompileProgram at 1218 rules.
 void BM_VerifyProgram(benchmark::State& state) {
   System sys;
   sys.InstallRules(SyntheticRuleBase(static_cast<int>(state.range(0))));

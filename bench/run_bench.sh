@@ -5,7 +5,7 @@
 #   table6_lmbench   us/op for every (syscall, config) cell, incl. VCACHE
 #   table7_macro     macro means + PF Full verdict-cache hit/miss/bypass
 #   ablation_engine  BM_AuthorizeVerdictCache* (ns/op + rate counters),
-#                    legacy walker vs switch loop vs threaded evaluator,
+#                    legacy walker vs compiled evaluator,
 #                    BM_CompileProgram + BM_VerifyProgram (commit-time costs)
 #   pfcheck          static-analyzer wall time over the shipped rule base
 #
@@ -21,10 +21,10 @@ trap 'rm -rf "$TMP"' EXIT
 
 "$BUILD/bench/table6_lmbench" --json "$TMP/table6.json"
 "$BUILD/bench/table7_macro" --json "$TMP/table7.json"
-# Medians of 3 repetitions: the dispatch-ladder and verifier-share summary
+# Medians of 3 repetitions: the dispatch-cost and verifier-share summary
 # numbers gate CI, and single-shot runs swing +-20% on shared machines.
 "$BUILD/bench/ablation_engine" \
-  --benchmark_filter='BM_AuthorizeVerdictCache|BM_AuthorizeCompiled|BM_AuthorizeIndexedChains|BM_AuthorizeLinearScan|BM_AuthorizeSwitchScan|BM_AuthorizeTuple|BM_CompileProgram|BM_VerifyProgram|BM_IncrementalCommit|BM_BuildSymbolicModel' \
+  --benchmark_filter='BM_AuthorizeVerdictCache|BM_AuthorizeCompiled|BM_AuthorizeIndexedChains|BM_AuthorizeLinearScan|BM_CompileProgram|BM_VerifyProgram|BM_IncrementalCommit|BM_BuildSymbolicModel' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
   --benchmark_out="$TMP/ablation.json" --benchmark_out_format=json
 "$BUILD/src/apps/pfcheck" --library --json > "$TMP/pfcheck.json"
@@ -44,8 +44,7 @@ out["ablation_engine"] = {
     b["name"].removesuffix("_median"): {
         "ns_per_op": b["real_time"],
         **{k: b[k] for k in ("hit_rate", "miss_rate", "bypass_rate", "state_hits",
-                             "arena_words", "classifier_ns", "automata_ns",
-                             "tuples", "max_slice", "residual",
+                             "arena_words", "automata_ns",
                              "delta_commits", "full_commits", "regions")
            if k in b},
     }
@@ -61,9 +60,8 @@ t6 = out["table6"]
 ae = out["ablation_engine"]
 # Dispatch cost on the linear-scan pair: the indexed pair at 1218 is
 # fixed-overhead dominated (hashing + unwinding), so the evaluator speedup
-# is measured legacy-walker scan vs threaded compiled scan, verifier on.
+# is measured legacy-walker scan vs compiled scan, verifier on.
 legacy_1218 = ae.get("BM_AuthorizeLinearScan/1218", {}).get("ns_per_op")
-switch_1218 = ae.get("BM_AuthorizeSwitchScan/1218", {}).get("ns_per_op")
 compiled_1218 = ae.get("BM_AuthorizeCompiledScan/1218", {}).get("ns_per_op")
 out["summary"] = {
     "analyzer_us": out["pfcheck"]["analysis_us"],
@@ -80,10 +78,9 @@ out["summary"] = {
     "macro_state_hits": out["table7"]["vcache"].get("state_hits"),
     "macro_bypasses": out["table7"]["vcache"].get("bypasses"),
     # Compiled-program evaluator: cache-miss Authorize, 1218-rule base,
-    # legacy walker vs switch loop vs threaded arena program (ns/op), the
-    # one-time lowering cost, and the load-time verifier's share of it.
+    # legacy walker vs arena program (ns/op), the one-time lowering cost,
+    # and the load-time verifier's share of it.
     "authorize_legacy_1218_ns": legacy_1218,
-    "authorize_switch_1218_ns": switch_1218,
     "authorize_compiled_1218_ns": compiled_1218,
     "authorize_indexed_1218_ns":
         ae.get("BM_AuthorizeIndexedChains/1218", {}).get("ns_per_op"),
@@ -91,8 +88,6 @@ out["summary"] = {
         ae.get("BM_AuthorizeCompiledIndexed/1218", {}).get("ns_per_op"),
     "compiled_speedup_1218": (legacy_1218 / compiled_1218
                               if legacy_1218 and compiled_1218 else None),
-    "threaded_speedup_vs_switch_1218": (switch_1218 / compiled_1218
-                                        if switch_1218 and compiled_1218 else None),
     "compile_program_1218_ns": ae.get("BM_CompileProgram/1218", {}).get("ns_per_op"),
     "verify_program_1218_ns": ae.get("BM_VerifyProgram/1218", {}).get("ns_per_op"),
     "verify_us": out["pfcheck"].get("verify_us"),
@@ -113,25 +108,19 @@ out["summary"].update({
     "symbolic_library_regions": out["pfcheck"].get("symbolic", {}).get("regions"),
 })
 
-# Tuple-space classifier + incremental commits (DESIGN.md §5g): the scaling
-# headline is flat authorize latency at 100k rules (within 3x of the
+# Scaling + incremental commits (DESIGN.md §5g): the headline is flat
+# indexed authorize latency at 100k rules (CI gates within 3x of the
 # 1218-rule base) and a one-edit delta commit well under the from-scratch
 # relower (>= 20x acceptance; CI gates at <= 5% of full).
-tuple_1218 = ae.get("BM_AuthorizeTupleScan/1218", {}).get("ns_per_op")
-tuple_100k = ae.get("BM_AuthorizeTupleScan/100000", {}).get("ns_per_op")
 compile_100k = ae.get("BM_CompileProgram/100000", {}).get("ns_per_op")
 delta_100k = ae.get("BM_IncrementalCommit/100000", {}).get("ns_per_op")
 out["summary"].update({
-    "authorize_tuple_1218_ns": tuple_1218,
-    "authorize_tuple_100k_ns": tuple_100k,
-    "authorize_tuple_200k_ns":
-        ae.get("BM_AuthorizeTupleScan/200000", {}).get("ns_per_op"),
+    "authorize_compiled_indexed_100k_ns":
+        ae.get("BM_AuthorizeCompiledIndexed/100000", {}).get("ns_per_op"),
+    "authorize_compiled_indexed_200k_ns":
+        ae.get("BM_AuthorizeCompiledIndexed/200000", {}).get("ns_per_op"),
     "authorize_compiled_scan_100k_ns":
         ae.get("BM_AuthorizeCompiledScan/100000", {}).get("ns_per_op"),
-    "tuple_scaling_100k_vs_1218": (tuple_100k / tuple_1218
-                                   if tuple_100k and tuple_1218 else None),
-    "classifier_build_ns":
-        ae.get("BM_CompileProgram/100000", {}).get("classifier_ns"),
     "compile_program_100k_ns": compile_100k,
     "incremental_commit_1edit_ns": delta_100k,
     "delta_commit_speedup_100k": (compile_100k / delta_100k

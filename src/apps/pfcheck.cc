@@ -202,12 +202,6 @@ int main(int argc, char** argv) {
   const bool verified = compiled->verified;
   const double verify_us = static_cast<double>(compiled->verify_ns) / 1000.0;
 
-  // Tuple-space classifier shape of the same compile (DESIGN.md §5g): how
-  // the rule base partitions into hash-probed tuples vs the always-scanned
-  // residual, and the longest candidate slice a single Authorize can see.
-  const pf::core::ClassifierStats cstats =
-      pf::core::ComputeClassifierStats(compiled->program);
-
   // STATE-protocol automaton shape of the same compile (DESIGN.md §5i):
   // which stateful rules the commit-time lowering pass made cacheable, and
   // which stay on the verdict-cache bypass path with their causes.
@@ -236,16 +230,12 @@ int main(int argc, char** argv) {
     std::ostringstream out;
     // `schema` versions the machine-readable surface (same contract as the
     // pfdiff object): consumers gate on it before parsing.
-    out << "{\"pfcheck\": {\"schema\": 1, \"rules\": " << rules
+    out << "{\"pfcheck\": {\"schema\": 2, \"rules\": " << rules
         << ", \"chains\": " << nchains
         << ", \"analysis_us\": " << analysis_us
         << ", \"verified\": " << (verified ? "true" : "false")
         << ", \"verify_us\": " << verify_us
         << ", \"verifier\": " << compiled->verify_report.RenderJson()
-        << ", \"classifier\": {\"tables\": " << cstats.tables
-        << ", \"tuples\": " << cstats.tuples
-        << ", \"max_slice\": " << cstats.max_slice
-        << ", \"residual_rules\": " << cstats.residual_rules << "}"
         << ", \"automata\": {\"built\": "
         << (compiled->program.automata_built ? "true" : "false")
         << ", \"protocols\": " << astats.protocols
@@ -290,10 +280,9 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "pfcheck: %zu rule(s) in %zu chain(s): %zu error(s), %zu warning(s) [%.1f us], "
-        "program %s [%.1f us], classifier tables=%u tuples=%u max_slice=%u residual=%u\n",
+        "program %s [%.1f us]\n",
         rules, nchains, report.errors(), report.warnings(), analysis_us,
-        verified ? "verified" : "REJECTED by verifier", verify_us, cstats.tables,
-        cstats.tuples, cstats.max_slice, cstats.residual_rules);
+        verified ? "verified" : "REJECTED by verifier", verify_us);
     if (compiled->program.automata_built) {
       std::printf(
           "pfcheck: automata: %u protocol(s), %u key(s), %llu state(s), "

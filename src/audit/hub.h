@@ -78,6 +78,9 @@ struct KeyWindow {
 
 class AuditHub {
  public:
+  // One ring per worker lane (core::kWorkerLanes), plus one shared ring for
+  // the overflow lane (worker index kMaxWorkers) whose producers serialize
+  // on a mutex.
   static constexpr size_t kMaxWorkers = 64;
 
   struct Config {
@@ -115,7 +118,9 @@ class AuditHub {
   uint32_t kinds() const { return kinds_.load(std::memory_order_relaxed); }
 
   // Producer side: aggregate (windows, token bucket, anomaly flag) and push
-  // into `worker`'s ring. Returns false when the record was suppressed.
+  // into `worker`'s ring — the caller must own that worker lane; indices of
+  // kMaxWorkers or above share the overflow ring. Returns false when the
+  // record was suppressed.
   // Callers must have seen enabled(); records whose kind bit is off are
   // dropped silently (not counted as emitted).
   bool Emit(size_t worker, AuditRecord rec);
@@ -139,10 +144,10 @@ class AuditHub {
   // Drops every aggregator window and token bucket (rings are untouched).
   void ResetAggregator();
 
+  // The ring of `worker` (kMaxWorkers: the overflow ring), or null if that
+  // worker never emitted.
   const AuditRing* ring(size_t worker) const {
-    return worker < kMaxWorkers
-               ? rings_[worker].load(std::memory_order_acquire)
-               : nullptr;
+    return worker < kRings ? rings_[worker].load(std::memory_order_acquire) : nullptr;
   }
 
  private:
@@ -159,6 +164,8 @@ class AuditHub {
     bool seen = false;  // a ts_ns of 0 is valid, so 0 is not a sentinel
   };
 
+  static constexpr size_t kRings = kMaxWorkers + 1;
+
   AuditRing* AllocateRing(size_t worker);
 
   std::atomic<bool> enabled_{false};
@@ -167,9 +174,10 @@ class AuditHub {
 
   Config config_;  // written by Enable() only, read under agg_mu_
 
-  std::array<std::atomic<AuditRing*>, kMaxWorkers> rings_{};
+  std::array<std::atomic<AuditRing*>, kRings> rings_{};
   std::vector<std::unique_ptr<AuditRing>> owned_;
   std::mutex alloc_mu_;
+  std::mutex overflow_mu_;  // the overflow ring's producers take turns
 
   // Aggregator state. Security events are rare by construction (denies, LOG
   // hits, phase flips — never the accept fast path), so one mutex suffices;

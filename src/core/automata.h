@@ -72,8 +72,7 @@ std::optional<uint64_t> FoldAutomatonState(const PfProgram& prog,
                                            const std::vector<uint16_t>& protocols,
                                            const std::vector<uint32_t>* astate);
 
-// Shape summary for pfcheck --json / pftables --check, the automata twin of
-// ClassifierStats.
+// Shape summary for pfcheck --json / pftables --check.
 struct AutomataStats {
   uint32_t protocols = 0;
   uint32_t keys = 0;

@@ -149,10 +149,60 @@ bool IsCreateOp(sim::Op op) {
          op == sim::Op::kSocketBind;
 }
 
+// --- worker lanes --------------------------------------------------------------
+
+static_assert(kWorkerLanes == 64, "the lane registry is one 64-bit word");
+static_assert(trace::TraceHub::kMaxWorkers == kWorkerLanes &&
+                  audit::AuditHub::kMaxWorkers == kWorkerLanes,
+              "trace and audit rings are indexed by worker lane");
+
+namespace {
+
+// Bit i is set while a live thread owns lane i.
+std::atomic<uint64_t> g_lanes_held{0};
+
+// kOverflowLane until the thread holds a lane; kLaneReleased once its
+// thread-exit release ran (a later Authorize from another thread_local
+// destructor then stays on the overflow lane instead of reclaiming).
+constexpr size_t kLaneReleased = kOverflowLane + 1;
+thread_local size_t t_lane = kOverflowLane;
+
+struct LaneRelease {
+  ~LaneRelease() {
+    const size_t lane = t_lane;
+    t_lane = kLaneReleased;
+    if (lane < kWorkerLanes) {
+      // Release pairs with the claiming CAS: the next owner of the lane sees
+      // every write this thread made to the lane's pin slot and rings.
+      g_lanes_held.fetch_and(~(1ull << lane), std::memory_order_release);
+    }
+  }
+};
+
+// Slow path of WorkerIndex: first call on this thread, or every lane was
+// held at the last attempt. Claims the lowest free lane.
+[[gnu::noinline]] size_t ClaimWorkerLane() {
+  if (t_lane == kLaneReleased) {
+    return kOverflowLane;
+  }
+  thread_local LaneRelease release;  // registered once, runs at thread exit
+  uint64_t held = g_lanes_held.load(kRelaxed);
+  while (held != ~0ull) {
+    const auto lane = static_cast<size_t>(std::countr_one(held));
+    if (g_lanes_held.compare_exchange_weak(held, held | (1ull << lane),
+                                           std::memory_order_acquire, kRelaxed)) {
+      t_lane = lane;
+      return lane;
+    }
+  }
+  return kOverflowLane;
+}
+
+}  // namespace
+
 size_t WorkerIndex() {
-  static std::atomic<size_t> next{0};
-  thread_local size_t index = next.fetch_add(1, kRelaxed);
-  return index;
+  const size_t lane = t_lane;
+  return lane < kWorkerLanes ? lane : ClaimWorkerLane();
 }
 
 // --- TaskStateStore ----------------------------------------------------------
@@ -504,7 +554,7 @@ Status Engine::CommitRuleset() {
 
 const CompiledRuleset& Engine::PinRuleset(std::shared_ptr<const CompiledRuleset>* hold) {
   const size_t index = WorkerIndex();
-  if (index < kMaxWorkers) {
+  if (index < kWorkerLanes) {
     WorkerSlot& w = workers_[index];
     if (w.generation != generation_.load(std::memory_order_acquire)) {
       std::lock_guard<std::mutex> lock(commit_mu_);
@@ -514,7 +564,7 @@ const CompiledRuleset& Engine::PinRuleset(std::shared_ptr<const CompiledRuleset>
     }
     return *w.snap;
   }
-  // Workers beyond the slot capacity fall back to pinning via `hold`.
+  // Threads on the overflow lane (every lane held) pin via `hold`.
   std::lock_guard<std::mutex> lock(commit_mu_);
   *hold = published_;
   return **hold;
@@ -1018,141 +1068,32 @@ Engine::Verdict Engine::RunBuiltin(const CompiledRuleset& rs, const CompiledChai
 // execute inline from pool operands; kMatchNative/kTargetNative escape into
 // the extension module's virtual Matches()/Fire().
 //
-// The handler bodies live once, in src/core/exec_insn.inc, and are expanded
-// into two dispatch strategies:
+// The handler bodies live in src/core/exec_insn.inc, expanded once as the
+// cases of ExecRule's switch loop. An opcode outside the instruction set
+// matches no case and is skipped.
 //
-//   * ExecRuleSwitch — a portable switch loop (any C++20 compiler);
-//   * ExecRuleThreaded — a computed-goto threaded interpreter (GNU C): each
-//     handler fetches the next instruction and jumps *directly* to its
-//     handler through a per-function label table, giving every opcode its
-//     own indirect branch (its own predictor slot) and no per-iteration
-//     loop/bounds re-dispatch.
-//
-// The bounds-free dispatch (`goto *table[insn.op]` over a 256-entry table,
-// raw pool indexing in the handlers) is safe because no program reaches
-// this code unverified: Engine::CompileRuleset runs the load-time verifier
-// (verify.h) over every compiled program and CommitRuleset refuses to
-// publish one whose proof fails — the eBPF contract, transplanted.
+// The unchecked pool indexing in the handlers is safe because no program
+// reaches this code unverified: Engine::CompileRuleset runs the load-time
+// verifier (verify.h) over every compiled program and CommitRuleset refuses
+// to publish one whose proof fails — the eBPF contract, transplanted.
 
-Engine::Verdict Engine::ExecRuleSwitch(const CompiledRuleset& rs, const RuleRecord& rec,
-                                       uint32_t start, Packet& pkt, int depth) {
+Engine::Verdict Engine::ExecRule(const CompiledRuleset& rs, const RuleRecord& rec,
+                                 uint32_t start, Packet& pkt, int depth) {
   const PfProgram& prog = rs.program;
   const sim::AccessRequest& req = *pkt.req;
   for (uint32_t pc = start; pc < rec.end; pc += kPfInsnWords) {
     const PfInsn insn = prog.Fetch(pc);
     switch (static_cast<PfOp>(insn.op)) {
-#define PF_OP(name) case PfOp::name:
-#define PF_OP_END break;
 #include "src/core/exec_insn.inc"  // NOLINT(bugprone-suspicious-include)
-#undef PF_OP
-#undef PF_OP_END
     }
   }
   return Verdict::kFallthrough;
 }
 
-#if defined(PF_THREADED_DISPATCH) && (defined(__GNUC__) || defined(__clang__))
-
-// GCC's cross-jumping pass would merge the identical PF_NEXT tails back
-// into one shared indirect branch, collapsing the per-opcode predictor
-// slots threading exists to create; keep the tails distinct.
-#if defined(__GNUC__) && !defined(__clang__)
-__attribute__((optimize("no-crossjumping")))
-#endif
-Engine::Verdict Engine::ExecRuleThreaded(const CompiledRuleset& rs, const RuleRecord& rec,
-                                         uint32_t start, Packet& pkt, int depth) {
-  const PfProgram& prog = rs.program;
-  const sim::AccessRequest& req = *pkt.req;
-  if (start >= rec.end) {
-    return Verdict::kFallthrough;
-  }
-  // Label table indexed by the raw opcode byte: all 256 values dispatch
-  // somewhere, and the values outside the instruction set skip the
-  // instruction — exactly the switch loop's no-default behavior. Static:
-  // label addresses are constants within the function, so this materializes
-  // once at load time.
-  static const void* const kDispatch[256] = {
-      &&op_invalid,          // 0
-      &&op_kRuleBegin,       &&op_kCheckOp,         &&op_kMatchSubject,
-      &&op_kEnsureCtx,       &&op_kCheckProgram,    &&op_kCheckEptOff,
-      &&op_kCheckIno,        &&op_kMatchObject,     &&op_kMatchState,
-      &&op_kMatchSignal,     &&op_kMatchSyscallArg, &&op_kMatchCompare,
-      &&op_kMatchInterp,     &&op_kMatchNative,     &&op_kAccept,
-      &&op_kDrop,            &&op_kReturn,          &&op_kContinue,
-      &&op_kJump,            &&op_kStateSet,        &&op_kStateUnset,
-      &&op_kLog,             &&op_kTargetNative,    &&op_kMatchStateEq,
-      &&op_kMatchStateNe,    &&op_kMatchSyscallNrEq, &&op_kMatchSyscallNrNe,
-      &&op_kMatchSyscallArgEq, &&op_kMatchSyscallArgNe, &&op_kMatchCompareEq,
-      &&op_kMatchCompareNe,  &&op_kMatchPhase,  // 32 == kPfOpCount - 1
-// 223 out-of-range slots (33..255), all skipping the instruction.
-#define PF_INVALID8 \
-  &&op_invalid, &&op_invalid, &&op_invalid, &&op_invalid, &&op_invalid, &&op_invalid, \
-      &&op_invalid, &&op_invalid
-      &&op_invalid, &&op_invalid, &&op_invalid, &&op_invalid, &&op_invalid,
-      &&op_invalid, &&op_invalid,
-      PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8,
-      PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8,
-      PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8,
-      PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8,
-      PF_INVALID8,
-#undef PF_INVALID8
-  };
-  static_assert(kPfOpCount == 33, "keep the label table in sync with PfOp");
-
-#define PF_NEXT                          \
-  do {                                   \
-    pc += kPfInsnWords;                  \
-    if (pc >= rec.end) {                 \
-      return Verdict::kFallthrough;      \
-    }                                    \
-    insn = prog.Fetch(pc);               \
-    goto* kDispatch[insn.op];            \
-  } while (0)
-
-  uint32_t pc = start;
-  PfInsn insn = prog.Fetch(pc);
-  goto* kDispatch[insn.op];
-
-op_invalid:
-  PF_NEXT;
-
-#define PF_OP(name) op_##name:
-#define PF_OP_END PF_NEXT;
-#include "src/core/exec_insn.inc"  // NOLINT(bugprone-suspicious-include)
-#undef PF_OP
-#undef PF_OP_END
-#undef PF_NEXT
-}
-
-#else  // !PF_THREADED_DISPATCH: alias the switch loop so callers need no #if.
-
-Engine::Verdict Engine::ExecRuleThreaded(const CompiledRuleset& rs, const RuleRecord& rec,
-                                         uint32_t start, Packet& pkt, int depth) {
-  return ExecRuleSwitch(rs, rec, start, pkt, depth);
-}
-
-#endif
-
-Engine::Verdict Engine::ExecRule(const CompiledRuleset& rs, const RuleRecord& rec,
-                                 uint32_t start, Packet& pkt, int depth) {
-  // One predictable branch selects the dispatch strategy; everything the
-  // handlers do is shared (exec_insn.inc), so this is an implementation
-  // detail, never a semantic fork.
-  if (config_.threaded_eval) {
-    return ExecRuleThreaded(rs, rec, start, pkt, depth);
-  }
-  return ExecRuleSwitch(rs, rec, start, pkt, depth);
-}
-
 Engine::Verdict Engine::ExecEntries(const CompiledRuleset& rs, uint32_t off, uint32_t len,
                                     bool op_checked, Packet& pkt, int depth) {
-  return ExecEntryList(rs, rs.program.entries.data() + off, len, op_checked, pkt, depth);
-}
-
-Engine::Verdict Engine::ExecEntryList(const CompiledRuleset& rs, const uint32_t* recs,
-                                      uint32_t len, bool op_checked, Packet& pkt,
-                                      int depth) {
   const PfProgram& prog = rs.program;
+  const uint32_t* recs = prog.entries.data() + off;
   DecisionScratch* ds = nullptr;
   if constexpr (kObsCompiledIn) {
     ds = g_scratch;
@@ -1216,116 +1157,12 @@ Engine::Verdict Engine::ExecEntryList(const CompiledRuleset& rs, const uint32_t*
   return Verdict::kFallthrough;
 }
 
-// Tuple-space dispatch (program.h): resolve the contexts the bucket's
-// dimension masks key on, probe one hash table per mask, and merge the few
-// surviving slices back into chain order for the shared evaluation loop.
-// Soundness: a rule sits in a tuple only when a key mismatch guarantees its
-// own guards would fail, and tables whose dimensions are unresolvable (no
-// valid entrypoint frame, no object) hold only rules whose guards fail for
-// that very reason — so skipping them changes no verdict, side effect, or
-// per-rule hit counter; eval counters drop exactly for rules a scan would
-// have rejected.
-Engine::Verdict Engine::ExecChainTuple(const CompiledRuleset& rs,
-                                       const ProgramBucket& bucket, Packet& pkt,
-                                       int depth) {
-  const PfProgram& prog = rs.program;
-  if ((bucket.tuple_dims & kTupleDimEpt) != 0) {
-    EnsureContext(pkt, CtxBit(Ctx::kEntrypoint));
-  }
-  if ((bucket.tuple_dims & (kTupleDimObject | kTupleDimIno)) != 0) {
-    EnsureContext(pkt, CtxBit(Ctx::kObject));
-  }
-  TupleKey probe;
-  probe.subject = pkt.req->task->cred.sid;
-  if (pkt.entrypoint_valid) {
-    probe.ept_dev = pkt.entrypoint.image.dev;
-    probe.ept_ino = pkt.entrypoint.image.ino;
-    probe.ept_off = pkt.entrypoint.offset;
-  }
-  if (pkt.has_object) {
-    probe.object = pkt.object_sid;
-    probe.ino = pkt.object_id.ino;
-  }
-  struct ActiveSlice {
-    const uint32_t* cur;
-    const uint32_t* end;
-  };
-  ActiveSlice act[kTupleMaskLimit + 1];
-  uint32_t nact = 0;
-  uint32_t total = 0;
-  const auto push = [&](uint32_t off, uint32_t len) {
-    if (len != 0) {
-      act[nact].cur = prog.entries.data() + off;
-      act[nact].end = act[nact].cur + len;
-      ++nact;
-      total += len;
-    }
-  };
-  push(bucket.residual_off, bucket.residual_len);
-  for (uint32_t t = 0; t < bucket.tuple_cnt; ++t) {
-    const TupleTable& table = prog.tuple_tables[bucket.tuple_off + t];
-    if ((table.mask & kTupleDimEpt) != 0 && !pkt.entrypoint_valid) {
-      continue;
-    }
-    if ((table.mask & (kTupleDimObject | kTupleDimIno)) != 0 && !pkt.has_object) {
-      continue;
-    }
-    uint32_t idx =
-        static_cast<uint32_t>(TupleKeyHash(table.mask, probe)) & (table.slot_count - 1);
-    for (;;) {
-      const TupleSlot& slot = prog.tuple_slots[table.slot_off + idx];
-      if (slot.len == 0) {
-        break;  // empty slot: no tuple with this key
-      }
-      if (TupleKeyEq(table.mask, slot.key, probe)) {
-        push(slot.off, slot.len);
-        break;
-      }
-      idx = (idx + 1) & (table.slot_count - 1);
-    }
-  }
-  if (nact == 0) {
-    return Verdict::kFallthrough;
-  }
-  if (nact == 1) {
-    // One surviving slice: run it in place, no merge buffer.
-    return ExecEntryList(rs, act[0].cur, static_cast<uint32_t>(act[0].end - act[0].cur),
-                         /*op_checked=*/true, pkt, depth);
-  }
-  // K-way merge by ascending record index == chain order (records of one
-  // chain are lowered in chain order, and the slices are disjoint).
-  uint32_t stack_buf[128];
-  std::vector<uint32_t> heap_buf;
-  uint32_t* merged = stack_buf;
-  if (total > 128) {
-    heap_buf.resize(total);
-    merged = heap_buf.data();
-  }
-  uint32_t n = 0;
-  while (nact > 0) {
-    uint32_t best = 0;
-    for (uint32_t i = 1; i < nact; ++i) {
-      if (*act[i].cur < *act[best].cur) {
-        best = i;
-      }
-    }
-    merged[n++] = *act[best].cur;
-    if (++act[best].cur == act[best].end) {
-      act[best] = act[--nact];
-    }
-  }
-  return ExecEntryList(rs, merged, n, /*op_checked=*/true, pkt, depth);
-}
-
 Engine::Verdict Engine::ExecChain(const CompiledRuleset& rs, const ProgramChain& pc,
                                   Packet& pkt, int depth) {
   if (depth >= kMaxChainDepth) {
     return Verdict::kFallthrough;
   }
   const ProgramBucket& bucket = pc.ops[static_cast<size_t>(pkt.req->op)];
-  if (config_.tuple_dispatch && bucket.has_classifier) {
-    return ExecChainTuple(rs, bucket, pkt, depth);
-  }
   if (config_.ept_chains && pc.index_built) {
     Verdict v = ExecEntries(rs, bucket.plain_off, bucket.plain_len,
                             /*op_checked=*/true, pkt, depth);
@@ -1424,8 +1261,7 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
       trace_active =
           trace_decision || trace_vcache || scratch.trace_rules || scratch.trace_ctx;
       if (trace_active) {
-        scratch.worker =
-            static_cast<uint16_t>(WorkerIndex() & (trace::TraceHub::kMaxWorkers - 1));
+        scratch.worker = static_cast<uint16_t>(WorkerIndex());
         scratch.op = static_cast<uint8_t>(req.op);
         scratch.time_ctx = true;
         scratch.hub = &trace_;
@@ -1818,9 +1654,7 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
               ? std::min(audit_scratch.log_count, AuditScratch::kMaxPending)
               : 0;
       if (deny_event || n_phase != 0 || n_log != 0) {
-        const size_t w =
-            trace_active ? scratch.worker
-                         : (WorkerIndex() & (trace::TraceHub::kMaxWorkers - 1));
+        const size_t w = trace_active ? scratch.worker : WorkerIndex();
         audit::AuditRecord base;
         base.ts_ns = trace::NowNs();
         base.generation = rs.generation;

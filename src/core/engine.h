@@ -11,8 +11,8 @@
 //   CONCACHE = {lazy_context=false, cache_context=true,  ept_chains=false}
 //   LAZYCON  = {lazy_context=true,  cache_context=true,  ept_chains=false}
 //   EPTSPC   = {lazy_context=true,  cache_context=true,  ept_chains=true}
-//   COMPILED = EPTSPC + compiled_eval (arena-packed program evaluator; see
-//              DESIGN.md "Compiled PF programs")
+//   COMPILED = EPTSPC + compiled_eval (switch-loop evaluator over the
+//              arena-packed program; see DESIGN.md "Compiled PF programs")
 //   VCACHE   = COMPILED + verdict_cache (commit-time compilation + AVC-style
 //              verdict cache; see DESIGN.md "Verdict cache and commit-time
 //              compilation")
@@ -91,30 +91,12 @@ struct EngineConfig {
   // rules the pass cannot lower transparently stay on the bypass path.
   // Effective only together with verdict_cache.
   bool automata = true;
-  // Evaluate hooks with the instruction interpreter over the commit-time
+  // Evaluate hooks with the switch-dispatch interpreter over the commit-time
   // arena-packed program (program.h) instead of the legacy shared_ptr<Rule>
   // tree walker. Both produce bit-identical verdicts, stats, and side
   // effects (enforced by the COMPILED ablation rung and the differential
   // fuzz test); the flag exists for the ablation ladder and as a fallback.
   bool compiled_eval = true;
-  // Dispatch the compiled evaluator through the computed-goto threaded
-  // interpreter instead of the switch loop. Both are generated from the same
-  // handler bodies (src/core/exec_insn.inc) and are bit-identical; the flag
-  // exists for A/B benchmarking and as a portability fallback. Ignored (the
-  // switch loop runs) when the build lacks computed goto — non-GNU
-  // compilers, or -DPF_THREADED_DISPATCH=OFF at configure time.
-  bool threaded_eval = true;
-  // Dispatch Authorize through the tuple-space classifier (program.h): probe
-  // one hash table per distinct exact-match dimension mask and evaluate only
-  // the rules whose pinned key matches the request (plus the residual rules
-  // with no exact dimension), merged back into chain order. Skipped rules
-  // could only have failed their own guards, so verdicts, side effects, and
-  // per-rule hit counters are bit-identical to the scan path (TUPLE ablation
-  // rung); per-rule eval counters only drop for rules a scan would have
-  // rejected. Off by default: the scan path is the correctness oracle, the
-  // classifier is the 100k-rule scaling path (benches and the ablation rung
-  // turn it on).
-  bool tuple_dispatch = false;
   // Incremental CommitRuleset: when the staging edit touched only some
   // chains (per-chain edit sequences), copy the published program and
   // re-lower just the dirty chains instead of relowering everything. The
@@ -196,8 +178,20 @@ struct alignas(64) EngineStatsBlock {
   std::array<std::atomic<uint64_t>, static_cast<size_t>(Ctx::kCount)> ctx_fetches{};
 };
 
-// Stable index of the calling worker thread (monotonic per thread, assigned
-// on first use). Shared by every engine instance in the process.
+// Worker lanes: the per-thread indices that pick a thread's ruleset pin
+// slot and its trace/audit rings. A thread claims the lowest free lane on
+// its first call and releases it when the thread exits, so a lane has at
+// most one live owner and the rings stay single-producer however many
+// threads come and go.
+inline constexpr size_t kWorkerLanes = 64;
+// Returned while every lane is held by a live thread. Callers treat it as
+// lane-less: the ruleset pin falls back to a locked copy, and the trace and
+// audit hubs serialize its producers on a shared overflow ring.
+inline constexpr size_t kOverflowLane = kWorkerLanes;
+
+// The calling thread's lane in [0, kWorkerLanes), or kOverflowLane. Shared
+// by every engine instance in the process; the fast path is one
+// thread_local load.
 size_t WorkerIndex();
 
 // An immutable unwind snapshot, valid while `serial` matches the task's
@@ -600,7 +594,7 @@ class Engine : public sim::SecurityModule {
   enum class Verdict { kAccept, kDrop, kFallthrough, kReturn };
 
   // Pins the current ruleset generation for this worker. `hold` keeps the
-  // snapshot alive for callers beyond the per-worker slot capacity.
+  // snapshot alive for threads on the overflow lane.
   const CompiledRuleset& PinRuleset(std::shared_ptr<const CompiledRuleset>* hold);
 
   EngineStatsBlock& StatsLocal();
@@ -625,29 +619,9 @@ class Engine : public sim::SecurityModule {
   // entrypoint index's lists are not op-filtered and keep the guard.
   Verdict ExecEntries(const CompiledRuleset& rs, uint32_t off, uint32_t len,
                       bool op_checked, Packet& pkt, int depth);
-  // The same evaluation loop over an arbitrary rule-record index list (the
-  // tuple probe's merge buffer); ExecEntries forwards into it. Accounting is
-  // shared, so classifier-reached rules bump eval/hit counters exactly as a
-  // scan does.
-  Verdict ExecEntryList(const CompiledRuleset& rs, const uint32_t* recs, uint32_t len,
-                        bool op_checked, Packet& pkt, int depth);
-  // Tuple-space dispatch for one (chain, op) bucket (EngineConfig::
-  // tuple_dispatch): probe the bucket's per-mask hash tables, merge the
-  // surviving slices back into chain order, and run the shared loop.
-  Verdict ExecChainTuple(const CompiledRuleset& rs, const ProgramBucket& bucket,
-                         Packet& pkt, int depth);
-  // ExecRule picks a dispatch strategy per EngineConfig::threaded_eval. The
-  // two strategies are expansions of the same handler bodies
-  // (src/core/exec_insn.inc): ExecRuleSwitch is the portable switch loop,
-  // ExecRuleThreaded the computed-goto threaded interpreter (defined only
-  // when the toolchain supports it; the declaration is unconditional so the
-  // header stays configuration-independent).
+  // The switch loop over one rule body (handlers in src/core/exec_insn.inc).
   Verdict ExecRule(const CompiledRuleset& rs, const RuleRecord& rec, uint32_t start,
                    Packet& pkt, int depth);
-  Verdict ExecRuleSwitch(const CompiledRuleset& rs, const RuleRecord& rec, uint32_t start,
-                         Packet& pkt, int depth);
-  Verdict ExecRuleThreaded(const CompiledRuleset& rs, const RuleRecord& rec,
-                           uint32_t start, Packet& pkt, int depth);
 
   void FetchObject(Packet& pkt);
   void FetchLinkTarget(Packet& pkt);
@@ -668,7 +642,6 @@ class Engine : public sim::SecurityModule {
   std::atomic<uint64_t> stats_gen_{0};  // even: stable; odd: mutation running
 
   // --- RCU-style ruleset publication ---
-  static constexpr size_t kMaxWorkers = 64;
   struct alignas(64) WorkerSlot {
     std::shared_ptr<const CompiledRuleset> snap;
     uint64_t generation = ~0ull;
@@ -685,7 +658,7 @@ class Engine : public sim::SecurityModule {
   std::atomic<uint64_t> generation_{0};
   std::atomic<uint64_t> delta_commits_{0};
   std::atomic<uint64_t> full_commits_{0};
-  std::array<WorkerSlot, kMaxWorkers> workers_;
+  std::array<WorkerSlot, kWorkerLanes> workers_;  // indexed by worker lane
 
   // Per-worker stats blocks (indices wrap; see EngineStatsBlock).
   static constexpr size_t kStatsBlocks = 64;

@@ -603,14 +603,9 @@ Status Pftables::Exec(const std::string& command) {
     if (!last_check_.empty()) {
       std::fputs(("pftables --check:\n" + last_check_.RenderText()).c_str(), stderr);
     }
-    // Shape of the tuple-space classifier the gated compile produced — the
-    // operator-facing view of how much of the base Authorize can skip.
+    // Automaton shape of the gated compile: which stateful rules the
+    // commit-time lowering made cacheable.
     const std::shared_ptr<CompiledRuleset> checked = engine_->CompileRuleset();
-    const ClassifierStats cstats = ComputeClassifierStats(checked->program);
-    std::fprintf(stderr,
-                 "pftables --check: classifier tables=%u tuples=%u max_slice=%u "
-                 "residual=%u\n",
-                 cstats.tables, cstats.tuples, cstats.max_slice, cstats.residual_rules);
     if (checked->program.automata_built) {
       const AutomataStats astats = ComputeAutomataStats(checked->program);
       std::fprintf(stderr,

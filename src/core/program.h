@@ -71,7 +71,7 @@ enum class PfOp : uint8_t {
   // Compile-time-specialized forms, appended so the base opcodes keep their
   // numbering. Lowering resolves the operand-kind and comparison-sense
   // branches of the generic ops above at compile time (the --cmp / --nequal
-  // flags, the arg-0-means-syscall-nr convention), so the threaded hot loop
+  // flags, the arg-0-means-syscall-nr convention), so the hot loop
   // dispatches straight to a handler with no per-insn flag tests. The
   // generic forms stay executable (hand-built programs, older dumps) and
   // every specialized form disassembles to the same text as its generic
@@ -90,8 +90,8 @@ enum class PfOp : uint8_t {
   kMatchPhase,  // a = phase-name string idx, b = phase id (PhaseId(name))
 };
 
-// One past the highest opcode: the size of the evaluator's dispatch table
-// and the bound the load-time verifier proves every fetched op against.
+// One past the highest opcode: the bound the load-time verifier proves every
+// fetched op against.
 inline constexpr uint32_t kPfOpCount = static_cast<uint32_t>(PfOp::kMatchPhase) + 1;
 
 // Instruction flags.
@@ -186,56 +186,6 @@ struct RuleRecord {
   int16_t astate_protocol = -1;
 };
 
-// Tuple-space classifier (DESIGN.md §5g). At lowering time every rule in a
-// per-(chain,op) bucket is assigned the set of *exact-match* dimensions its
-// guards pin to a single value: a one-sid positive subject set, a resolved
-// entrypoint (-p + -i), a one-sid positive object set, an --ino. Rules that
-// share a dimension mask are grouped by their key values into tuples —
-// contiguous, chain-ordered slices of the entries table — and each mask gets
-// an open-addressed hash table from key to slice. Authorize then probes one
-// table per distinct mask (a handful) instead of scanning the bucket, and
-// merges the few surviving slices back into chain order; a rule whose exact
-// key differs from the request's could only have failed its guards, so
-// skipping it is verdict- and counter-invariant.
-inline constexpr uint8_t kTupleDimSubject = 1u << 0;  // -s, single positive sid
-inline constexpr uint8_t kTupleDimEpt = 1u << 1;      // -p + -i (entrypoint)
-inline constexpr uint8_t kTupleDimObject = 1u << 2;   // -d, single positive sid
-inline constexpr uint8_t kTupleDimIno = 1u << 3;      // --ino
-// Distinct non-empty dimension masks; bounds the per-probe table count and
-// the merge fan-in.
-inline constexpr uint32_t kTupleMaskLimit = 15;
-
-// Full-width key: only the dimensions named by the owning table's mask are
-// compared (the rest stay zero for determinism).
-struct TupleKey {
-  sim::Sid subject = 0;
-  sim::Sid object = 0;
-  uint64_t ept_dev = 0;
-  uint64_t ept_ino = 0;
-  uint64_t ept_off = 0;
-  uint64_t ino = 0;
-};
-
-uint64_t TupleKeyHash(uint8_t mask, const TupleKey& key);
-bool TupleKeyEq(uint8_t mask, const TupleKey& lhs, const TupleKey& rhs);
-
-// One occupied (or empty, len == 0) slot of a tuple hash table: key -> a
-// chain-ordered slice of PfProgram::entries.
-struct TupleSlot {
-  TupleKey key;
-  uint32_t off = 0;
-  uint32_t len = 0;  // 0 = empty slot
-};
-
-// Open-addressed (linear probing) table for one dimension mask; slots live
-// in PfProgram::tuple_slots, slot_count is a power of two.
-struct TupleTable {
-  uint8_t mask = 0;
-  uint32_t slot_off = 0;
-  uint32_t slot_count = 0;
-  uint32_t used = 0;  // occupied slots (tuples)
-};
-
 // ---------------------------------------------------------------------------
 // STATE-protocol automata (DESIGN.md §5i). BuildAutomata (automata.cc) groups
 // the program's STATE keys into protocols (connected components of keys that
@@ -309,16 +259,6 @@ struct ProgramBucket {
   CtxMask needs = 0;
   bool cacheable = true;
   bool has_indexed = false;
-  // Tuple-space classifier over the `all` slice: `residual` holds the rules
-  // with no exact dimension (always evaluated), `tuple_off/cnt` the per-mask
-  // hash tables in PfProgram::tuple_tables, `tuple_dims` the union of their
-  // masks (which contexts a probe must resolve up front).
-  uint32_t residual_off = 0;
-  uint32_t residual_len = 0;
-  uint32_t tuple_off = 0;
-  uint32_t tuple_cnt = 0;
-  uint8_t tuple_dims = 0;
-  bool has_classifier = false;
   // Automaton classification (valid when PfProgram::automata_built):
   // `astate_base` from the bucket's own rules, `astate` after the JUMP-edge
   // closure. A bucket with astate.causes == 0 is *state-cacheable*: its
@@ -386,11 +326,6 @@ struct PfProgram {
   std::vector<const MatchModule*> native_matches;
   std::vector<const TargetModule*> native_targets;
 
-  // Tuple-space classifier pools (see ProgramBucket).
-  std::vector<TupleTable> tuple_tables;
-  std::vector<TupleSlot> tuple_slots;
-  uint64_t classifier_build_ns = 0;
-
   // STATE-protocol automaton pools (see AutomatonProtocol above). Valid —
   // and the per-bucket astate classifications meaningful — only when
   // `automata_built` is set by BuildAutomata; an engine configured with
@@ -407,7 +342,6 @@ struct PfProgram {
   // appends the relowered chains. Dead words accumulate until the compaction
   // threshold in Engine::CommitRuleset forces a from-scratch relower.
   uint64_t dead_arena_words = 0;
-  uint64_t dead_entry_slots = 0;
   uint32_t dead_rule_records = 0;
 
   // Intern maps live on the program (not the builder) so a delta build
@@ -493,20 +427,11 @@ void LowerProgram(CompiledRuleset& snap);
 
 // Incremental lowering: copy `prev`'s program (arena, pools, tables, intern
 // maps), mark the records of the chains named in `dirty` dead, and re-lower
-// only those chains, appending their records, slices, and classifier tables.
+// only those chains, appending their records and slices.
 // Requires the staging chain-name set to equal prev's (Engine::CommitRuleset
 // falls back to LowerProgram otherwise).
 void LowerProgramDelta(CompiledRuleset& snap, const PfProgram& prev,
                        const std::vector<std::string>& dirty);
-
-// Classifier shape summary for pfcheck / pftables --check.
-struct ClassifierStats {
-  uint32_t tables = 0;     // tuple tables across all (chain,op) buckets
-  uint32_t tuples = 0;     // occupied slots
-  uint32_t max_slice = 0;  // longest candidate slice (tuple or residual)
-  uint32_t residual_rules = 0;  // entries reachable only by residual scan
-};
-ClassifierStats ComputeClassifierStats(const PfProgram& prog);
 
 // Renders the program as deterministic, pool-resolved assembly (the
 // `pftables -L --compiled` listing). Interned content is printed by value

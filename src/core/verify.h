@@ -1,8 +1,7 @@
 // Load-time verification of arena-packed PF programs (DESIGN.md §5f).
 //
 // The compiled evaluator executes arbitrary arena bytes with no bounds
-// checks on its hot path — the threaded interpreter dispatches straight
-// through a label table and indexes the interned pools raw. What makes that
+// checks on its hot path — the switch loop indexes the interned pools raw. What makes that
 // safe is the same contract eBPF uses: no program reaches the evaluator
 // until a load-time verifier has proved, instruction by instruction, that
 // every fetch it can perform is in bounds. VerifyProgram is that pass: one
@@ -68,9 +67,8 @@ struct VerifyResult {
 // Single forward verification pass over `prog`. Diagnostics use the stable
 // codes: arena-truncated, rule-malformed, bad-opcode, pool-oob,
 // state-slot-oob, native-oob, jump-target-oob, syscall-arg-oob,
-// ctx-mask-invalid, chain-table-oob, classifier-oob, classifier-coverage,
-// depth-exceeded, automaton-oob, automaton-malformed, automaton-unsound,
-// automaton-dead (warning). The automaton proofs run only when the program
+// ctx-mask-invalid, chain-table-oob, depth-exceeded, automaton-oob,
+// automaton-malformed, automaton-unsound, automaton-dead (warning). The automaton proofs run only when the program
 // carries built automaton tables (PfProgram::automata_built).
 VerifyResult VerifyProgram(const PfProgram& prog, const VerifyOptions& opts = {});
 

@@ -45,6 +45,12 @@ Path PathOf(const TraceRecord& rec) {
                                                        : Path::kCount;
 }
 
+// Ring series label: the worker lane, or the shared overflow ring.
+std::string RingLabel(size_t wk) {
+  return wk == TraceHub::kMaxWorkers ? std::string("overflow")
+                                     : "worker-" + std::to_string(wk);
+}
+
 }  // namespace
 
 std::string NameTable::SidName(uint32_t sid) const {
@@ -190,7 +196,7 @@ void WriteRingFamilies(PromWriter& w, const TraceHub& hub) {
   // near 1.0 between scrapes means the eviction counter next to it is about
   // to move: drain more often or grow ring_capacity.
   bool any = false;
-  for (size_t wk = 0; wk < TraceHub::kMaxWorkers && !any; ++wk) {
+  for (size_t wk = 0; wk <= TraceHub::kMaxWorkers && !any; ++wk) {
     any = hub.ring(wk) != nullptr;
   }
   if (!any) {
@@ -198,23 +204,23 @@ void WriteRingFamilies(PromWriter& w, const TraceHub& hub) {
   }
   w.Family("pf_trace_ring_utilization",
            "Occupied fraction of each worker's trace ring", "gauge");
-  for (size_t wk = 0; wk < TraceHub::kMaxWorkers; ++wk) {
+  for (size_t wk = 0; wk <= TraceHub::kMaxWorkers; ++wk) {
     const TraceRing* r = hub.ring(wk);
     if (r == nullptr) {
       continue;
     }
     const size_t cap = r->capacity();
-    w.Gauge("pf_trace_ring_utilization", {{"ring", "worker-" + std::to_string(wk)}},
+    w.Gauge("pf_trace_ring_utilization", {{"ring", RingLabel(wk)}},
             cap == 0 ? 0.0 : static_cast<double>(r->size()) / static_cast<double>(cap));
   }
   w.Family("pf_trace_ring_drops_total",
            "Trace records evicted unread, by worker ring", "counter");
-  for (size_t wk = 0; wk < TraceHub::kMaxWorkers; ++wk) {
+  for (size_t wk = 0; wk <= TraceHub::kMaxWorkers; ++wk) {
     const TraceRing* r = hub.ring(wk);
     if (r == nullptr) {
       continue;
     }
-    w.Counter("pf_trace_ring_drops_total", {{"ring", "worker-" + std::to_string(wk)}},
+    w.Counter("pf_trace_ring_drops_total", {{"ring", RingLabel(wk)}},
               r->drops());
   }
 }

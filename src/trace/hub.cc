@@ -50,6 +50,15 @@ TraceRing* TraceHub::AllocateRing(size_t w) {
   return ring;
 }
 
+void TraceHub::EmitOverflow(const TraceRecord& rec) {
+  std::lock_guard<std::mutex> lock(overflow_mu_);
+  TraceRing* ring = rings_[kMaxWorkers].load(std::memory_order_acquire);
+  if (ring == nullptr) {
+    ring = AllocateRing(kMaxWorkers);
+  }
+  ring->Push(rec);
+}
+
 uint64_t TraceHub::drops() const {
   uint64_t total = 0;
   for (const auto& slot : rings_) {

@@ -78,7 +78,10 @@ class LatencyHistogram {
 
 class TraceHub {
  public:
-  static constexpr size_t kMaxWorkers = 64;  // mirrors Engine::kMaxWorkers
+  // One ring per worker lane (core::kWorkerLanes), plus one shared ring for
+  // the overflow lane (worker index kMaxWorkers) whose producers serialize
+  // on a mutex.
+  static constexpr size_t kMaxWorkers = 64;
   static constexpr size_t kMaxOps = 64;      // op filter is one uint64
 
   TraceHub() = default;
@@ -118,13 +121,19 @@ class TraceHub {
   }
 
   // Publishes a record into the producing worker's ring (rec.worker picks
-  // the ring; the caller must be that worker — rings are SPSC). Never
-  // blocks; a full ring evicts its oldest record and counts a drop.
+  // the ring; the caller must own that worker lane — rings are SPSC). A
+  // worker index of kMaxWorkers or above goes to the shared overflow ring.
+  // Never blocks on the lane path; a full ring evicts its oldest record and
+  // counts a drop.
   void Emit(const TraceRecord& rec) {
     if constexpr (!kTraceCompiledIn) {
       return;
     }
-    const size_t w = rec.worker & (kMaxWorkers - 1);
+    const size_t w = rec.worker;
+    if (w >= kMaxWorkers) {
+      EmitOverflow(rec);
+      return;
+    }
     TraceRing* ring = rings_[w].load(std::memory_order_acquire);
     if (ring == nullptr) {
       ring = AllocateRing(w);
@@ -143,9 +152,10 @@ class TraceHub {
 
   // --- consumer / exposition side ---
 
-  // The ring of worker `w`, or null if that worker never emitted.
+  // The ring of worker `w` (kMaxWorkers: the overflow ring), or null if
+  // that worker never emitted.
   TraceRing* ring(size_t w) const {
-    return rings_[w & (kMaxWorkers - 1)].load(std::memory_order_acquire);
+    return w < kRings ? rings_[w].load(std::memory_order_acquire) : nullptr;
   }
 
   const LatencyHistogram& histogram(uint32_t op, Path path) const {
@@ -164,14 +174,18 @@ class TraceHub {
   void ResetHistograms();
 
  private:
+  static constexpr size_t kRings = kMaxWorkers + 1;
+
   TraceRing* AllocateRing(size_t w);
+  void EmitOverflow(const TraceRecord& rec);
 
   std::atomic<uint32_t> events_{0};
   std::atomic<uint64_t> op_filter_{~0ull};
   size_t ring_capacity_ = kDefaultRingCapacity;
 
-  std::array<std::atomic<TraceRing*>, kMaxWorkers> rings_{};
-  std::mutex alloc_mu_;  // serializes first-emission ring allocation
+  std::array<std::atomic<TraceRing*>, kRings> rings_{};
+  std::mutex alloc_mu_;     // serializes first-emission ring allocation
+  std::mutex overflow_mu_;  // the overflow ring's producers take turns
 
   std::array<std::array<LatencyHistogram, kPathCount>, kMaxOps> histograms_{};
 };

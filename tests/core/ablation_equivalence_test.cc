@@ -27,43 +27,34 @@ constexpr int kTasks = 3;
 constexpr uint64_t kWorkloadSeed = 0xab1a7e5eedull;
 
 EngineConfig MakeConfig(bool lazy, bool cache, bool ept, bool compiled = false,
-                        bool vcache = false, bool threaded = true,
-                        bool verify = true, bool tuple = false,
-                        bool automata = true) {
+                        bool vcache = false, bool verify = true, bool automata = true) {
   EngineConfig cfg;
   cfg.lazy_context = lazy;
   cfg.cache_context = cache;
   cfg.ept_chains = ept;
   cfg.compiled_eval = compiled;
   cfg.verdict_cache = vcache;
-  cfg.threaded_eval = threaded;
   cfg.verify_programs = verify;
-  cfg.tuple_dispatch = tuple;
   cfg.automata = automata;
   return cfg;
 }
 
 // The Table-6 ablation ladder (the lower rungs pin compiled_eval and
 // verdict_cache off so each rung isolates exactly one optimization). The
-// SWITCHED rung runs the compiled evaluator through the portable switch
-// loop and COMPILED through the threaded dispatcher, so the dispatch
-// strategy itself is proven to be semantics-free. The VERIFY rung turns the
-// load-time verifier off on the top configuration: for accepted programs
-// the verifier must be a pure gate, changing nothing the evaluator does.
-// The TRACE rung re-runs the top configuration with every tracepoint stream
-// enabled: observability must be a pure observer — verdicts, STATE dicts,
-// and the decision counters all stay byte-identical. The TUPLE rung turns
-// the tuple-space classifier on above COMPILED (verdict cache off so every
-// op actually traverses): probing per-mask hash tables and k-way-merging
-// candidate slices must pick exactly the rules a linear scan would. The
-// AUTOMATA rung re-runs the verdict-cache configuration with STATE-protocol
-// lowering ablated: with lowering off every stateful decision bypasses and
-// traverses, with it on (the VCACHE rung's default) those decisions are
-// cached under automaton-extended keys and their effects replayed — the two
-// must be indistinguishable in verdicts and dictionaries. The AUDIT rung
-// re-runs the top configuration with the security-event audit pipeline
-// armed (suppression off, every kind enabled): like TRACE, audit must be a
-// pure observer of verdicts, STATE dicts, and decision counters.
+// VERIFY rung turns the load-time verifier off on the top configuration:
+// for accepted programs the verifier must be a pure gate, changing nothing
+// the evaluator does. The TRACE rung re-runs the top configuration with
+// every tracepoint stream enabled: observability must be a pure observer —
+// verdicts, STATE dicts, and the decision counters all stay byte-identical.
+// The AUTOMATA rung re-runs the verdict-cache configuration with
+// STATE-protocol lowering ablated: with lowering off every stateful
+// decision bypasses and traverses, with it on (the VCACHE rung's default)
+// those decisions are cached under automaton-extended keys and their
+// effects replayed — the two must be indistinguishable in verdicts and
+// dictionaries. The AUDIT rung re-runs the top configuration with the
+// security-event audit pipeline armed (suppression off, every kind
+// enabled): like TRACE, audit must be a pure observer of verdicts, STATE
+// dicts, and decision counters.
 const struct {
   const char* name;
   EngineConfig cfg;
@@ -74,13 +65,11 @@ const struct {
     {"CONCACHE", MakeConfig(false, true, false)},
     {"LAZYCON", MakeConfig(true, true, false)},
     {"EPTSPC", MakeConfig(true, true, true)},
-    {"SWITCHED", MakeConfig(true, true, true, true, false, /*threaded=*/false)},
     {"COMPILED", MakeConfig(true, true, true, true)},
-    {"TUPLE", MakeConfig(true, true, true, true, false, true, true, /*tuple=*/true)},
     {"VCACHE", MakeConfig(true, true, true, true, true)},
-    {"AUTOMATA", MakeConfig(true, true, true, true, true, true, true, false,
+    {"AUTOMATA", MakeConfig(true, true, true, true, true, /*verify=*/true,
                             /*automata=*/false)},
-    {"VERIFY", MakeConfig(true, true, true, true, true, true, /*verify=*/false)},
+    {"VERIFY", MakeConfig(true, true, true, true, true, /*verify=*/false)},
     {"TRACE", MakeConfig(true, true, true, true, true), true},
     {"AUDIT", MakeConfig(true, true, true, true, true), false, true},
 };
@@ -305,58 +294,6 @@ TEST(AblationEquivalenceTest, AuditIsAPureObserver) {
   EXPECT_EQ(counters_off, counters_on) << "audit changed decision counters";
 }
 
-TEST(AblationEquivalenceTest, TupleClassifierPreservesHitCountersAndOnlySkipsWork) {
-  // The classifier may only *skip* rules a scan would have rejected on an
-  // exact-match dimension: every rule a scan fires must still fire (hits
-  // bit-identical, bumped by the same evaluator path), every rule the
-  // classifier does evaluate must be one the scan evaluated too (per-rule
-  // evals <= scan), and at this workload's shape the candidate slices must
-  // be strictly narrower than the full chain (total rules_evaluated drops).
-  const auto replay = [](bool tuple, std::vector<uint64_t>* evals,
-                         std::vector<uint64_t>* hits, EngineStats* stats) {
-    const EngineConfig cfg =
-        MakeConfig(true, true, true, true, false, true, true, tuple);
-    Workload w(cfg);
-    std::vector<int64_t> verdicts;
-    std::mt19937_64 rng(kWorkloadSeed);
-    const char* paths[] = {"/etc/passwd", "/etc/shadow", "/tmp/t"};
-    for (int i = 0; i < kOps; ++i) {
-      sim::Task& task = *w.tasks[rng() % kTasks];
-      if (rng() % 4 != 0) {
-        ++task.syscall_count;
-      }
-      sim::AccessRequest req = w.OpenRequest(task, paths[rng() % 3]);
-      verdicts.push_back(w.engine->Authorize(req));
-    }
-    for (const auto& [name, chain] : w.engine->ruleset().filter().chains()) {
-      for (const auto& r : chain.rules()) {
-        evals->push_back(r->evals.load(std::memory_order_relaxed));
-        hits->push_back(r->hits.load(std::memory_order_relaxed));
-      }
-    }
-    *stats = w.engine->stats();
-    return verdicts;
-  };
-
-  std::vector<uint64_t> scan_evals, scan_hits, tup_evals, tup_hits;
-  EngineStats scan_stats, tup_stats;
-  std::vector<int64_t> scan = replay(false, &scan_evals, &scan_hits, &scan_stats);
-  std::vector<int64_t> tup = replay(true, &tup_evals, &tup_hits, &tup_stats);
-
-  ASSERT_EQ(scan, tup) << "classifier changed a verdict";
-  ASSERT_EQ(scan_hits, tup_hits) << "classifier changed a per-rule hit count";
-  ASSERT_EQ(scan_evals.size(), tup_evals.size());
-  for (size_t i = 0; i < scan_evals.size(); ++i) {
-    EXPECT_LE(tup_evals[i], scan_evals[i])
-        << "classifier evaluated rule " << i << " more often than a scan — it "
-        << "may only skip rules, never add candidates";
-  }
-  EXPECT_LT(tup_stats.rules_evaluated, scan_stats.rules_evaluated)
-      << "classifier never narrowed a candidate slice on a workload built "
-      << "around exact-match dimensions";
-  EXPECT_EQ(tup_stats.drops, scan_stats.drops);
-}
-
 TEST(AblationEquivalenceTest, AutomataLoweringPreservesHitCountersAndRemovesBypasses) {
   // The AUTOMATA rung, isolated and strengthened: with lowering on, the
   // workload's stateful decisions (binds, tmp-opens, signals over key b) are
@@ -368,7 +305,7 @@ TEST(AblationEquivalenceTest, AutomataLoweringPreservesHitCountersAndRemovesBypa
                          std::vector<std::map<std::string, int64_t>>* dicts,
                          EngineStats* stats) {
     const EngineConfig cfg =
-        MakeConfig(true, true, true, true, true, true, true, false, automata);
+        MakeConfig(true, true, true, true, true, /*verify=*/true, automata);
     std::vector<int64_t> verdicts = Replay(cfg, dicts);
     // Replay tears the workload down, so run it again inline to read hit
     // counters off the live ruleset.

@@ -1,14 +1,14 @@
-// Differential fuzzing of the compiled evaluators against the legacy tree
+// Differential fuzzing of the compiled evaluator against the legacy tree
 // walker: seeded random rule bases (five generator flavors, see
 // fuzz_rules.h) replayed over seeded random operation streams, with the
-// evaluator selection (legacy walker / portable switch loop / computed-goto
-// threaded loop) as the only difference between runs. Everything observable
-// must be bit-identical across all three — the verdict sequence, per-task
-// STATE dictionaries, LOG records, rule counters (via the List() rendering),
-// and the engine statistics, including the context-fetch counters that would
-// expose a divergent EnsureContext order.
+// evaluator selection (legacy walker / compiled switch loop) as the only
+// difference between runs, under both entrypoint-index modes. Everything
+// observable must be bit-identical between the two — the verdict sequence,
+// per-task STATE dictionaries, LOG records, rule counters (via the List()
+// rendering), and the engine statistics, including the context-fetch
+// counters that would expose a divergent EnsureContext order.
 //
-// A second three-way diff covers the stateful verdict-cache tier: automata
+// A three-way diff covers the stateful verdict-cache tier: automata
 // on (STATE decisions cached under automaton-extended keys, effects replayed
 // on hits) vs automata off (STATE decisions bypass and traverse every time)
 // vs the uncached legacy walker. Everything a caller or auditor can observe
@@ -57,20 +57,8 @@ std::vector<uint64_t>& SeedList() {
   return seeds;
 }
 
-// The three evaluator builds under diff.
-enum class Mode { kLegacy, kSwitch, kThreaded };
-
-const char* ModeName(Mode m) {
-  switch (m) {
-    case Mode::kLegacy:
-      return "legacy";
-    case Mode::kSwitch:
-      return "switch";
-    case Mode::kThreaded:
-      return "threaded";
-  }
-  return "?";
-}
+// The two evaluator builds under diff (EngineConfig::compiled_eval).
+enum class Mode { kLegacy, kCompiled };
 
 // --- workload ----------------------------------------------------------------
 
@@ -96,8 +84,7 @@ FuzzRun Replay(uint64_t seed, Mode mode, bool ept, bool vcache = false,
                bool automata = true,
                const std::vector<std::string>* rules = nullptr) {
   EngineConfig cfg;
-  cfg.compiled_eval = mode != Mode::kLegacy;
-  cfg.threaded_eval = mode == Mode::kThreaded;
+  cfg.compiled_eval = mode == Mode::kCompiled;
   cfg.ept_chains = ept;
   cfg.verdict_cache = vcache;
   cfg.automata = automata;
@@ -250,12 +237,10 @@ TEST(CompiledDiffFuzzTest, ThreeWayEquivalenceAcrossSeeds) {
     for (bool ept : {true, false}) {
       const std::string what = tag + (ept ? " ept=on" : " ept=off");
       FuzzRun legacy = Replay(seed, Mode::kLegacy, ept);
-      FuzzRun swtch = Replay(seed, Mode::kSwitch, ept);
-      FuzzRun threaded = Replay(seed, Mode::kThreaded, ept);
-      ExpectBitEquivalent(legacy, swtch, what + " switch-vs-legacy");
-      ExpectBitEquivalent(legacy, threaded, what + " threaded-vs-legacy");
+      FuzzRun compiled = Replay(seed, Mode::kCompiled, ept);
+      ExpectBitEquivalent(legacy, compiled, what + " compiled-vs-legacy");
       if (::testing::Test::HasFailure()) {
-        DumpFailure(seed, ept, threaded);
+        DumpFailure(seed, ept, compiled);
         return;  // first divergence wins; later seeds would bury the dump
       }
     }
@@ -297,9 +282,9 @@ TEST(CompiledDiffFuzzTest, AutomataCacheEquivalenceAcrossSeeds) {
     FuzzRun legacy =
         Replay(seed, Mode::kLegacy, /*ept=*/true, /*vcache=*/false, /*automata=*/false);
     FuzzRun interp =
-        Replay(seed, Mode::kThreaded, /*ept=*/true, /*vcache=*/true, /*automata=*/false);
+        Replay(seed, Mode::kCompiled, /*ept=*/true, /*vcache=*/true, /*automata=*/false);
     FuzzRun automata =
-        Replay(seed, Mode::kThreaded, /*ept=*/true, /*vcache=*/true, /*automata=*/true);
+        Replay(seed, Mode::kCompiled, /*ept=*/true, /*vcache=*/true, /*automata=*/true);
     ExpectObservablyEquivalent(legacy, interp, tag + " interp-cache-vs-legacy");
     ExpectObservablyEquivalent(legacy, automata, tag + " automata-cache-vs-legacy");
     // Pure cache hits skip the traversal and its per-rule hit bumps in both
@@ -337,9 +322,9 @@ TEST(CompiledDiffFuzzTest, AutomataTierEngagesAndMatchesUncachedBuilds) {
   const uint64_t seed = SeedList().empty() ? kSeedBase : SeedList().front();
   FuzzRun legacy = Replay(seed, Mode::kLegacy, /*ept=*/true, /*vcache=*/false,
                           /*automata=*/false, &rules);
-  FuzzRun interp = Replay(seed, Mode::kThreaded, /*ept=*/true, /*vcache=*/true,
+  FuzzRun interp = Replay(seed, Mode::kCompiled, /*ept=*/true, /*vcache=*/true,
                           /*automata=*/false, &rules);
-  FuzzRun automata = Replay(seed, Mode::kThreaded, /*ept=*/true, /*vcache=*/true,
+  FuzzRun automata = Replay(seed, Mode::kCompiled, /*ept=*/true, /*vcache=*/true,
                             /*automata=*/true, &rules);
   ExpectObservablyEquivalent(legacy, interp, "stateful interp-cache-vs-legacy");
   ExpectObservablyEquivalent(legacy, automata, "stateful automata-cache-vs-legacy");
@@ -356,22 +341,11 @@ TEST(CompiledDiffFuzzTest, AutomataTierEngagesAndMatchesUncachedBuilds) {
 
 TEST(CompiledDiffFuzzTest, ReplayIsDeterministic) {
   const uint64_t seed = SeedList().empty() ? kSeedBase : SeedList().front();
-  FuzzRun a = Replay(seed, Mode::kThreaded, /*ept=*/true);
-  FuzzRun b = Replay(seed, Mode::kThreaded, /*ept=*/true);
+  FuzzRun a = Replay(seed, Mode::kCompiled, /*ept=*/true);
+  FuzzRun b = Replay(seed, Mode::kCompiled, /*ept=*/true);
   EXPECT_EQ(a.verdicts, b.verdicts);
   EXPECT_EQ(a.log_lines, b.log_lines);
   EXPECT_EQ(a.listing, b.listing);
-}
-
-// The mode plumbing itself: a threaded run and a switch run of the same seed
-// agree even when the legacy walker is left out of the loop, so a regression
-// in the shared handler bodies cannot hide behind a matching legacy bug.
-TEST(CompiledDiffFuzzTest, SwitchAndThreadedAgree) {
-  const uint64_t seed = SeedList().empty() ? kSeedBase : SeedList().front();
-  FuzzRun swtch = Replay(seed, Mode::kSwitch, /*ept=*/true);
-  FuzzRun threaded = Replay(seed, Mode::kThreaded, /*ept=*/true);
-  ExpectBitEquivalent(swtch, threaded, std::string(ModeName(Mode::kThreaded)) +
-                                           "-vs-" + ModeName(Mode::kSwitch));
 }
 
 }  // namespace
