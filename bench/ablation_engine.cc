@@ -168,7 +168,7 @@ BENCHMARK(BM_AuthorizeCompiledTraced)->Arg(16)->Arg(128)->Arg(512)->Arg(1218)->A
 // pipeline adds to every decision — the ISSUE's <5% acceptance bound for
 // the *enabled* case, asserted by the bench-smoke CI job as the geometric
 // mean across rule counts vs. BM_AuthorizeCompiledIndexed in this binary
-// (a PF_AUDIT=OFF build runs alongside as the compile gate and reference).
+// (a PF_TRACE=OFF build runs alongside as the compile gate and reference).
 void BM_AuthorizeCompiledAudited(benchmark::State& state) {
   EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
                    /*indexed=*/true);

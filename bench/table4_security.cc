@@ -20,7 +20,7 @@ namespace pf::bench {
 // hits move only when a traversal fired it, so traversal-tier records per
 // rule == that rule's hit count and the remainder were cache-served.
 bool VerifyAuditTrail(System& sys, const char* exploit_id, std::ofstream& sink) {
-  if (!audit::kAuditCompiledIn) {
+  if (!trace::kTraceCompiledIn) {
     return true;
   }
   const core::EngineStats stats = sys.engine->stats();
@@ -139,7 +139,7 @@ void Run() {
                             ? "All 9 exploits succeed without the Process Firewall and "
                               "are blocked with it (no loss of victim function)."
                             : "MISMATCH with the paper's Table 4 — investigate.");
-  if (audit::kAuditCompiledIn) {
+  if (trace::kTraceCompiledIn) {
     std::printf("%s\n", audit_good
                             ? "Every blocked exploit left an exactly-attributed audit "
                               "trail (traces/table4_audit.jsonl)."

@@ -8,30 +8,6 @@ namespace pf::audit {
 
 namespace {
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 Kind KindOf(const AuditRecord& rec) {
   return rec.kind < static_cast<uint8_t>(Kind::kCount) ? static_cast<Kind>(rec.kind)
                                                        : Kind::kCount;
@@ -110,9 +86,9 @@ std::string RenderJsonLines(const std::vector<AuditRecord>& records,
   for (const AuditRecord& rec : records) {
     out << "{\"ts_ns\":" << rec.ts_ns << ",\"worker\":" << rec.worker
         << ",\"kind\":\"" << KindName(KindOf(rec)) << "\",\"pid\":" << rec.pid
-        << ",\"op\":\"" << JsonEscape(trace::NameTable::OpName(rec.op))
-        << "\",\"subject\":\"" << JsonEscape(names.SidName(rec.subject_sid))
-        << "\",\"object\":\"" << JsonEscape(names.SidName(rec.object_sid))
+        << ",\"op\":\"" << trace::JsonEscape(trace::NameTable::OpName(rec.op))
+        << "\",\"subject\":\"" << trace::JsonEscape(names.SidName(rec.subject_sid))
+        << "\",\"object\":\"" << trace::JsonEscape(names.SidName(rec.object_sid))
         << "\",\"object_dev\":" << rec.object_dev << ",\"object_ino\":" << rec.object_ino
         << ",\"object_gen\":" << rec.object_gen << ",\"chain\":" << rec.chain_id
         << ",\"rule\":" << rec.rule_index << ",\"generation\":" << rec.generation
@@ -177,7 +153,7 @@ void WriteAuditFamilies(trace::PromWriter& w, const AuditHub& hub) {
   w.Counter("pf_audit_anomalies_total", {}, hub.anomalies());
   w.Family("pf_audit_window_keys", "Aggregation keys with live deny-rate windows",
            "gauge");
-  w.Gauge("pf_audit_window_keys", {}, static_cast<double>(hub.WindowSnapshot().size()));
+  w.Gauge("pf_audit_window_keys", {}, static_cast<double>(hub.window_keys()));
 }
 
 }  // namespace pf::audit

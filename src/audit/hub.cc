@@ -43,29 +43,13 @@ void AuditHub::Enable(const Config& cfg) {
     std::lock_guard<std::mutex> lock(agg_mu_);
     config_ = cfg;
   }
+  rings_.set_capacity(cfg.ring_capacity);
   kinds_.store(cfg.kinds, std::memory_order_relaxed);
   timed_.store(cfg.timed, std::memory_order_relaxed);
   enabled_.store(true, std::memory_order_release);
 }
 
 void AuditHub::Disable() { enabled_.store(false, std::memory_order_release); }
-
-AuditRing* AuditHub::AllocateRing(size_t worker) {
-  std::lock_guard<std::mutex> lock(alloc_mu_);
-  AuditRing* existing = rings_[worker].load(std::memory_order_acquire);
-  if (existing != nullptr) {
-    return existing;  // another emitter won the race
-  }
-  size_t capacity = trace::kDefaultRingCapacity;
-  {
-    std::lock_guard<std::mutex> cfg_lock(agg_mu_);
-    capacity = config_.ring_capacity;
-  }
-  owned_.push_back(std::make_unique<AuditRing>(capacity));
-  AuditRing* ring = owned_.back().get();
-  rings_[worker].store(ring, std::memory_order_release);
-  return ring;
-}
 
 bool AuditHub::Emit(size_t worker, AuditRecord rec) {
   if ((kinds() & KindBit(static_cast<Kind>(rec.kind))) == 0) {
@@ -137,59 +121,14 @@ bool AuditHub::Emit(size_t worker, AuditRecord rec) {
     }
   }
 
-  std::unique_lock<std::mutex> overflow;
-  if (worker >= kMaxWorkers) {
-    worker = kMaxWorkers;
-    overflow = std::unique_lock<std::mutex>(overflow_mu_);
-  }
-  AuditRing* ring = rings_[worker].load(std::memory_order_acquire);
-  if (ring == nullptr) {
-    ring = AllocateRing(worker);
-  }
-  ring->Push(rec);
+  rings_.Push(worker, rec);
   return true;
 }
 
 std::vector<AuditRecord> AuditHub::Drain() {
-  std::vector<AuditRecord> out;
-  for (size_t w = 0; w < kRings; ++w) {
-    AuditRing* ring = rings_[w].load(std::memory_order_acquire);
-    if (ring == nullptr) {
-      continue;
-    }
-    AuditRecord rec;
-    while (ring->Pop(&rec)) {
-      out.push_back(rec);
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const AuditRecord& a, const AuditRecord& b) {
-                     return a.ts_ns < b.ts_ns;
-                   });
+  std::vector<AuditRecord> out = rings_.Drain();
   drained_.fetch_add(out.size(), std::memory_order_relaxed);
   return out;
-}
-
-uint64_t AuditHub::records() const {
-  uint64_t sum = 0;
-  for (size_t w = 0; w < kRings; ++w) {
-    const AuditRing* ring = rings_[w].load(std::memory_order_acquire);
-    if (ring != nullptr) {
-      sum += ring->pushed();
-    }
-  }
-  return sum;
-}
-
-uint64_t AuditHub::ring_drops() const {
-  uint64_t sum = 0;
-  for (size_t w = 0; w < kRings; ++w) {
-    const AuditRing* ring = rings_[w].load(std::memory_order_acquire);
-    if (ring != nullptr) {
-      sum += ring->drops();
-    }
-  }
-  return sum;
 }
 
 std::vector<KeyWindow> AuditHub::WindowSnapshot() const {
@@ -206,6 +145,11 @@ std::vector<KeyWindow> AuditHub::WindowSnapshot() const {
     return a.total > b.total;
   });
   return out;
+}
+
+size_t AuditHub::window_keys() const {
+  std::lock_guard<std::mutex> lock(agg_mu_);
+  return windows_.size();
 }
 
 void AuditHub::ResetAggregator() {

@@ -14,8 +14,9 @@
 //     suppression run carries the collapsed count (kFlagSuppressedTail) —
 //     the stream never silently loses information, it only collapses runs,
 //   * pushes admitted records into the emitting worker's lock-free ring
-//     (trace::RecordRing<AuditRecord>), where ring eviction of unread
-//     records is itself counted.
+//     (its own trace::LaneRings<AuditRecord> instance, never the trace
+//     hub's, so verbose trace streams cannot evict audit records), where
+//     ring eviction of unread records is itself counted.
 //
 // Conservation contract, tested by tests/audit/audit_pipeline_test.cc:
 //   emitted == pushed + suppressed, and pushed == drained + ring_drops +
@@ -23,10 +24,8 @@
 #ifndef SRC_AUDIT_HUB_H_
 #define SRC_AUDIT_HUB_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -78,10 +77,8 @@ struct KeyWindow {
 
 class AuditHub {
  public:
-  // One ring per worker lane (core::kWorkerLanes), plus one shared ring for
-  // the overflow lane (worker index kMaxWorkers) whose producers serialize
-  // on a mutex.
-  static constexpr size_t kMaxWorkers = 64;
+  // Worker index kMaxWorkers is the shared overflow ring (LaneRings).
+  static constexpr size_t kMaxWorkers = trace::LaneRings<AuditRecord>::kLanes;
 
   struct Config {
     size_t ring_capacity = trace::kDefaultRingCapacity;
@@ -109,7 +106,7 @@ class AuditHub {
   // The producer-side gate: one relaxed load. Everything else in this class
   // is only reachable behind it.
   bool enabled() const {
-    if constexpr (!kAuditCompiledIn) {
+    if constexpr (!trace::kTraceCompiledIn) {
       return false;
     }
     return enabled_.load(std::memory_order_relaxed);
@@ -132,12 +129,15 @@ class AuditHub {
   uint64_t emitted() const { return emitted_.load(std::memory_order_relaxed); }
   uint64_t suppressed() const { return suppressed_.load(std::memory_order_relaxed); }
   uint64_t drained() const { return drained_.load(std::memory_order_relaxed); }
-  uint64_t records() const;     // pushed into rings, summed over workers
-  uint64_t ring_drops() const;  // evicted unread, summed over workers
+  // Pushed into rings / evicted unread, summed over workers.
+  uint64_t records() const { return rings_.pushed(); }
+  uint64_t ring_drops() const { return rings_.drops(); }
 
   // Aggregator view for `pftables --audit` and the metrics families.
   // Non-destructive; ordered by total descending.
   std::vector<KeyWindow> WindowSnapshot() const;
+  // Number of aggregator keys with live windows (no snapshot copy).
+  size_t window_keys() const;
   // Keys currently flagged anomalous.
   uint64_t anomalies() const { return anomalies_.load(std::memory_order_relaxed); }
 
@@ -146,9 +146,7 @@ class AuditHub {
 
   // The ring of `worker` (kMaxWorkers: the overflow ring), or null if that
   // worker never emitted.
-  const AuditRing* ring(size_t worker) const {
-    return worker < kRings ? rings_[worker].load(std::memory_order_acquire) : nullptr;
-  }
+  const AuditRing* ring(size_t worker) const { return rings_.ring(worker); }
 
  private:
   struct KeyState {
@@ -164,20 +162,13 @@ class AuditHub {
     bool seen = false;  // a ts_ns of 0 is valid, so 0 is not a sentinel
   };
 
-  static constexpr size_t kRings = kMaxWorkers + 1;
-
-  AuditRing* AllocateRing(size_t worker);
-
   std::atomic<bool> enabled_{false};
   std::atomic<bool> timed_{false};
   std::atomic<uint32_t> kinds_{kAllKinds};
 
   Config config_;  // written by Enable() only, read under agg_mu_
 
-  std::array<std::atomic<AuditRing*>, kRings> rings_{};
-  std::vector<std::unique_ptr<AuditRing>> owned_;
-  std::mutex alloc_mu_;
-  std::mutex overflow_mu_;  // the overflow ring's producers take turns
+  trace::LaneRings<AuditRecord> rings_;
 
   // Aggregator state. Security events are rare by construction (denies, LOG
   // hits, phase flips — never the accept fast path), so one mutex suffices;

@@ -10,10 +10,12 @@
 //
 // Records are fixed-size (128 bytes), trivially copyable, and hold only
 // plain integers — no pointers, no strings — so the engine can publish one
-// into the same lock-free per-worker ring the tracer uses
-// (trace::RecordRing) and a consumer thread (pftables --audit, the JSONL
+// into the same kind of lock-free per-worker ring set the tracer uses
+// (trace::LaneRings) and a consumer thread (pftables --audit, the JSONL
 // sink, a test) can interpret it without touching engine state. Name
 // resolution (op names, MAC labels) happens at export time (export.h).
+// Audit shares tracing's compile switch: PF_TRACE=OFF (PF_NO_TRACE, see
+// trace::kTraceCompiledIn) compiles out both record kinds.
 //
 // This header is dependency-free on purpose, mirroring trace/record.h.
 #ifndef SRC_AUDIT_RECORD_H_
@@ -24,16 +26,6 @@
 #include <type_traits>
 
 namespace pf::audit {
-
-// Whether audit support is compiled into this build. With -DPF_AUDIT=OFF
-// (which defines PF_NO_AUDIT) every emission gate folds to constant false
-// and the pipeline is dead-code-eliminated — the hot path carries not even
-// the relaxed load, same contract as PF_NO_TRACE.
-#ifdef PF_NO_AUDIT
-inline constexpr bool kAuditCompiledIn = false;
-#else
-inline constexpr bool kAuditCompiledIn = true;
-#endif
 
 // Security-event kinds, one bit each in the hub's enable mask.
 enum class Kind : uint8_t {

@@ -19,69 +19,44 @@ constexpr CtxMask kAllCtx = CtxBit(Ctx::kObject) | CtxBit(Ctx::kLinkTarget) |
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
-// The decision-scratch machinery below serves two observers: the tracer and
-// the audit pipeline. It is compiled in when either is, and compiled out —
-// along with every gate that reads it — only when both are off.
-constexpr bool kObsCompiledIn = trace::kTraceCompiledIn || audit::kAuditCompiledIn;
+// Per-decision observer scratch: the one spine both observers — the tracer
+// and the audit pipeline — share. Authorize builds it on the stack and
+// publishes it through one thread-local pointer, at most once per decision,
+// so the stages it calls into (EnsureContext, the compiled evaluator, the
+// LOG and @phase hooks) can attribute their cost and park security events
+// without any signature changes. Null whenever nothing observes the current
+// decision — every hook below gates on that single TLS load, and the whole
+// mechanism compiles out under PF_NO_TRACE.
+struct ObsScratch {
+  static constexpr uint32_t kMaxPending = 4;
 
-// Per-decision tracing scratch, installed on the stack by Authorize and
-// published through a thread-local pointer so the stages it calls into
-// (EnsureContext, the compiled evaluator) can attribute their cost without
-// any signature changes. Null whenever the current decision is not being
-// traced — every tracepoint below gates on that single TLS load, and the
-// whole mechanism compiles out under PF_NO_TRACE.
-struct DecisionScratch {
+  // Attribution and timing, read by both observers.
   uint64_t ctx_ns = 0;       // summed EnsureContext time of this decision
   int32_t chain_id = -1;     // verdict-producing rule, compiled path only
   int32_t rule_index = -1;
-  uint16_t worker = 0;
+  uint16_t worker = 0;       // set when traced; audit resolves it at emission
   uint8_t op = 0;
   bool trace_rules = false;      // emit Event::kRule per verdict + rule ns
   bool trace_ctx = false;        // emit Event::kCtxFetch per fetch
   bool time_ctx = false;         // accumulate ctx_ns (clock reads per fetch)
-  pf::trace::TraceHub* hub = nullptr;
-};
+  pf::trace::TraceHub* hub = nullptr;  // null: no trace records through here
 
-thread_local DecisionScratch* g_scratch = nullptr;
-
-// Stateful-effects capture (engine.h NoteRuleHit/NoteDictDelta), armed by
-// Authorize around a miss traversal it intends to cache with automaton state
-// in the key. `own_mutations` counts the dictionary writes this traversal
-// performed itself; comparing the task's dict_seq across the traversal
-// against it proves no concurrent writer interleaved (in which case the
-// capture would describe a mixed history and must not be inserted).
-struct EffectsCapture {
-  StatefulEffects fx;
-  uint64_t own_mutations = 0;
-};
-
-thread_local EffectsCapture* g_capture = nullptr;
-
-// Per-decision audit scratch, armed by Authorize whenever the audit pipeline
-// is enabled. Security events that surface mid-traversal — LOG-target hits,
-// `@phase` transitions — are parked here (fixed-size, overflow-counted) and
-// materialized into AuditRecords in the decision epilogue, where the serving
-// tier, timing, and packet provenance are all known. Null whenever the
-// current decision is not audited; every hook below gates on that single TLS
-// load, and the mechanism compiles out under PF_AUDIT=OFF.
-struct AuditScratch {
-  static constexpr uint32_t kMaxPending = 4;
-
-  // LOG hits: the compiled kLog handler deposits its RuleRecord identity
-  // here just before EmitLog; the legacy walker leaves -1 (same attribution
-  // convention as tracing).
+  // Security events that surface mid-traversal — LOG-target hits, `@phase`
+  // transitions — parked (fixed-size, overflow-counted) for the audit
+  // epilogue, where the serving tier, timing and packet provenance are all
+  // known. The compiled kLog handler deposits its RuleRecord identity in
+  // cur_chain/cur_rule just before EmitLog; the legacy walker leaves -1
+  // (the tracing convention).
   int32_t cur_chain = -1;
   int32_t cur_rule = -1;
   int32_t log_chain[kMaxPending];
   int32_t log_rule[kMaxPending];
   uint32_t log_count = 0;
-
-  // @phase transitions observed by the dictionary write sites.
   int64_t phase_from[kMaxPending];
   int64_t phase_to[kMaxPending];
   uint32_t phase_count = 0;
 
-  AuditScratch* prev = nullptr;
+  ObsScratch* prev = nullptr;
 
   void NoteLog() {
     if (log_count < kMaxPending) {
@@ -101,7 +76,21 @@ struct AuditScratch {
   }
 };
 
-thread_local AuditScratch* g_audit = nullptr;
+thread_local ObsScratch* g_obs = nullptr;
+
+// Stateful-effects capture (engine.h NoteRuleHit/NoteDictDelta), armed by
+// Authorize around a miss traversal it intends to cache with automaton state
+// in the key. `own_mutations` counts the dictionary writes this traversal
+// performed itself; comparing the task's dict_seq across the traversal
+// against it proves no concurrent writer interleaved (in which case the
+// capture would describe a mixed history and must not be inserted).
+struct EffectsCapture {
+  StatefulEffects fx;
+  uint64_t own_mutations = 0;
+};
+
+thread_local EffectsCapture* g_capture = nullptr;
+
 }  // namespace
 
 void NoteRuleHit(const Rule* rule) {
@@ -118,9 +107,9 @@ void NoteDictDelta(const std::string& key, bool unset, int64_t value) {
 }
 
 void NotePhaseTransition(int64_t from, int64_t to) {
-  if constexpr (audit::kAuditCompiledIn) {
-    if (AuditScratch* as = g_audit) {
-      as->NotePhase(from, to);
+  if constexpr (trace::kTraceCompiledIn) {
+    if (ObsScratch* os = g_obs) {
+      os->NotePhase(from, to);
     }
   } else {
     (void)from;
@@ -154,7 +143,7 @@ bool IsCreateOp(sim::Op op) {
 static_assert(kWorkerLanes == 64, "the lane registry is one 64-bit word");
 static_assert(trace::TraceHub::kMaxWorkers == kWorkerLanes &&
                   audit::AuditHub::kMaxWorkers == kWorkerLanes,
-              "trace and audit rings are indexed by worker lane");
+              "trace and audit rings share the worker-lane registry");
 
 namespace {
 
@@ -819,15 +808,14 @@ void Engine::EnsureContext(Packet& pkt, CtxMask mask) {
   if (missing == 0) {
     return;
   }
-  // Context-fetch tracepoint: only decisions being traced (or audited) carry
-  // a scratch, so the unobserved hot path pays one thread-local load past
-  // this point.
+  // Context-fetch tracepoint: only observed decisions carry a scratch, so
+  // the unobserved hot path pays one thread-local load past this point.
   // Timing is opt-in per decision (tracer active, or audit with
   // Config::timed): an armed-but-untimed audit pipeline must not put two
   // clock reads on every allow-path context fetch.
   uint64_t t0 = 0;
-  if constexpr (kObsCompiledIn) {
-    if (g_scratch != nullptr && g_scratch->time_ctx) {
+  if constexpr (trace::kTraceCompiledIn) {
+    if (g_obs != nullptr && g_obs->time_ctx) {
       t0 = trace::NowNs();
     }
   }
@@ -846,8 +834,8 @@ void Engine::EnsureContext(Packet& pkt, CtxMask mask) {
   if (missing & CtxBit(Ctx::kInterpStack)) {
     FetchInterp(pkt);
   }
-  if constexpr (kObsCompiledIn) {
-    if (DecisionScratch* ds = g_scratch; ds != nullptr && ds->time_ctx) {
+  if constexpr (trace::kTraceCompiledIn) {
+    if (ObsScratch* ds = g_obs; ds != nullptr && ds->time_ctx) {
       const uint64_t dt = trace::NowNs() - t0;
       ds->ctx_ns += dt;
       if (ds->trace_ctx) {
@@ -893,15 +881,15 @@ void Engine::EmitLog(Packet& pkt, const std::string& prefix) {
   rec.adversary_readable = pkt.adversary_readable;
   rec.prefix = prefix;
   log_.Append(std::move(rec));
-  // Audit hook: a LOG fired during an audited decision becomes a kLogHit
-  // record in the epilogue. The compiled kLog handler parked its rule
-  // identity in cur_chain/cur_rule just before calling here; the legacy
-  // walker's LogTarget::Fire leaves -1 (the tracing convention). The
-  // audit-drop EmitLog in Authorize runs after the scratch is popped, so a
-  // denial never double-reports as a log hit.
-  if constexpr (audit::kAuditCompiledIn) {
-    if (AuditScratch* as = g_audit) {
-      as->NoteLog();
+  // Audit hook: a LOG fired during an observed decision is parked, and
+  // becomes a kLogHit record in the epilogue when the decision is audited.
+  // The compiled kLog handler parked its rule identity in cur_chain/cur_rule
+  // just before calling here; the legacy walker's LogTarget::Fire leaves -1
+  // (the tracing convention). The audit-drop EmitLog in Authorize runs after
+  // the scratch is popped, so a denial never double-reports as a log hit.
+  if constexpr (trace::kTraceCompiledIn) {
+    if (ObsScratch* os = g_obs) {
+      os->NoteLog();
     }
   }
 }
@@ -1094,9 +1082,9 @@ Engine::Verdict Engine::ExecEntries(const CompiledRuleset& rs, uint32_t off, uin
                                     bool op_checked, Packet& pkt, int depth) {
   const PfProgram& prog = rs.program;
   const uint32_t* recs = prog.entries.data() + off;
-  DecisionScratch* ds = nullptr;
-  if constexpr (kObsCompiledIn) {
-    ds = g_scratch;
+  ObsScratch* ds = nullptr;
+  if constexpr (trace::kTraceCompiledIn) {
+    ds = g_obs;
   }
   // rules_evaluated is batched: one thread-local lookup and one atomic add
   // per entry list instead of per rule. Totals match the legacy walker
@@ -1238,15 +1226,21 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
     return 0;  // fast-path allow: never traced (no Packet, no rule base work)
   }
 
-  // --- decision tracepoint, prologue. Disabled tracing costs one relaxed
-  // load of the event mask here; PF_NO_TRACE removes even that.
-  DecisionScratch scratch;
-  DecisionScratch* prev_scratch = nullptr;
+  // --- observer prologue. Unobserved, this is two relaxed loads (the trace
+  // event mask and the audit enable flag) and no TLS install; PF_NO_TRACE
+  // removes even those. An observed decision — traced, audited, or both —
+  // installs the one ObsScratch once. Attribution (verdict-producing rule,
+  // context time) and the audit event parking ride on it; an audited but
+  // untraced decision keeps its trace flags false and its hub null, so no
+  // trace records are emitted through it. Stage timing is armed when tracing
+  // or the audit hub (Config::timed) asks for it — the default audited
+  // decision reads the clock once, at emission.
+  ObsScratch obs;
   bool trace_decision = false;
   bool trace_vcache = false;
   bool trace_active = false;
+  [[maybe_unused]] bool audit_active = false;
   uint64_t t_start = 0;
-  [[maybe_unused]] bool obs_timed = false;
   [[maybe_unused]] trace::Path path = trace::Path::kVcache;
   [[maybe_unused]] uint8_t cache_outcome = trace::kCacheNone;
   if constexpr (trace::kTraceCompiledIn) {
@@ -1256,47 +1250,27 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
                     1) != 0) {
       trace_decision = (ev & trace::EventBit(trace::Event::kDecision)) != 0;
       trace_vcache = (ev & trace::EventBit(trace::Event::kVcache)) != 0;
-      scratch.trace_rules = (ev & trace::EventBit(trace::Event::kRule)) != 0;
-      scratch.trace_ctx = (ev & trace::EventBit(trace::Event::kCtxFetch)) != 0;
-      trace_active =
-          trace_decision || trace_vcache || scratch.trace_rules || scratch.trace_ctx;
+      obs.trace_rules = (ev & trace::EventBit(trace::Event::kRule)) != 0;
+      obs.trace_ctx = (ev & trace::EventBit(trace::Event::kCtxFetch)) != 0;
+      trace_active = trace_decision || trace_vcache || obs.trace_rules || obs.trace_ctx;
       if (trace_active) {
-        scratch.worker = static_cast<uint16_t>(WorkerIndex());
-        scratch.op = static_cast<uint8_t>(req.op);
-        scratch.time_ctx = true;
-        scratch.hub = &trace_;
-        prev_scratch = g_scratch;
-        g_scratch = &scratch;
-        t_start = trace::NowNs();
-        obs_timed = true;
+        // An audited-only decision resolves its worker lane at emission
+        // time instead, so the (dominant) allow path never pays for it.
+        obs.worker = static_cast<uint16_t>(WorkerIndex());
+        obs.op = static_cast<uint8_t>(req.op);
+        obs.time_ctx = true;
+        obs.hub = &trace_;
       }
     }
-  }
-
-  // --- audit prologue. Attribution (verdict-producing rule, context time)
-  // rides on the same DecisionScratch the tracer installs, so an audited but
-  // untraced decision installs one too: its trace flags stay false and its
-  // hub stays null, so no trace records can be emitted through it. Stage
-  // timing is only armed when the hub asks for it (Config::timed) — the
-  // default audited decision reads the clock once, at emission.
-  AuditScratch audit_scratch;
-  [[maybe_unused]] bool audit_active = false;
-  if constexpr (audit::kAuditCompiledIn) {
     if (audit_.enabled()) {
       audit_active = true;
-      audit_scratch.prev = g_audit;
-      g_audit = &audit_scratch;
-      if (!trace_active) {
-        // No worker/op setup here: an audited-only decision resolves its
-        // worker lane at emission time, so the (dominant) allow path pays
-        // only the two TLS installs.
-        prev_scratch = g_scratch;
-        g_scratch = &scratch;
-        if (audit_.timed()) {
-          scratch.time_ctx = true;
-          t_start = trace::NowNs();
-          obs_timed = true;
-        }
+      obs.time_ctx = obs.time_ctx || audit_.timed();
+    }
+    if (trace_active || audit_active) {
+      obs.prev = g_obs;
+      g_obs = &obs;
+      if (obs.time_ctx) {
+        t_start = trace::NowNs();
       }
     }
   }
@@ -1459,8 +1433,8 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
               } else {
                 // Audit emit point (stateful replay): a memoized @phase write
                 // is the same protocol transition the traversal performed.
-                if constexpr (audit::kAuditCompiledIn) {
-                  if (g_audit != nullptr && d.key == kPhaseKeyName) {
+                if constexpr (trace::kTraceCompiledIn) {
+                  if (g_obs != nullptr && d.key == kPhaseKeyName) {
                     auto it = st.dict.find(d.key);
                     NotePhaseTransition(it != st.dict.end()
                                             ? it->second
@@ -1497,8 +1471,8 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
     if (trace_vcache && cache_outcome != trace::kCacheNone) {
       trace::TraceRecord rec;
       rec.ts_ns = trace::NowNs();
-      rec.worker = scratch.worker;
-      rec.op = scratch.op;
+      rec.worker = obs.worker;
+      rec.op = obs.op;
       rec.event = static_cast<uint8_t>(trace::Event::kVcache);
       rec.subject_sid = req.task->cred.sid;
       rec.cache = cache_outcome;
@@ -1552,8 +1526,8 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
       // (compiled path only, -1 otherwise — the tracing convention). Like
       // the verdict it is a pure function of the key, so a later hit can
       // report the matched rule without re-traversing.
-      cv.chain_id = scratch.chain_id;
-      cv.rule_index = scratch.rule_index;
+      cv.chain_id = obs.chain_id;
+      cv.rule_index = obs.rule_index;
       bool insert = true;
       if (state_probe) {
         if (tstate == nullptr) {
@@ -1576,13 +1550,13 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
     }
   }
 
-  // --- observer epilogue: pop the shared scratch (installed by whichever of
-  // the two prologues armed it) and close the decision's timing window.
+  // --- observer epilogue: pop the scratch and close the decision's timing
+  // window, then feed each observer that watched this decision.
   [[maybe_unused]] uint64_t total = 0;
-  if constexpr (kObsCompiledIn) {
+  if constexpr (trace::kTraceCompiledIn) {
     if (trace_active || audit_active) {
-      g_scratch = prev_scratch;
-      if (obs_timed) {
+      g_obs = obs.prev;
+      if (obs.time_ctx) {
         total = trace::NowNs() - t_start;
       }
     }
@@ -1591,70 +1565,63 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
   // --- decision tracepoint, epilogue: histogram sample + one kDecision
   // record covering context fetch, probe, and traversal of this request.
   if constexpr (trace::kTraceCompiledIn) {
-    if (trace_active) {
-      if (trace_decision) {
-        trace_.RecordLatency(static_cast<uint32_t>(req.op), path, total);
-        trace::TraceRecord rec;
-        rec.ts_ns = trace::NowNs();
-        rec.worker = scratch.worker;
-        rec.op = scratch.op;
-        rec.event = static_cast<uint8_t>(trace::Event::kDecision);
-        rec.path = static_cast<uint8_t>(path);
-        rec.cache = cache_outcome;
-        rec.subject_sid = req.task->cred.sid;
-        rec.object_sid = pkt.has_object ? pkt.object_sid : sim::kInvalidSid;
-        rec.chain_id = scratch.chain_id;
-        rec.rule_index = scratch.rule_index;
-        rec.ctx_ns = trace::ClampNs(scratch.ctx_ns);
-        rec.total_ns = trace::ClampNs(total);
-        rec.eval_ns =
-            trace::ClampNs(total >= scratch.ctx_ns ? total - scratch.ctx_ns : 0);
-        if (drop) {
-          rec.flags |= trace::kFlagDrop;
-          if (config_.audit_only) {
-            rec.flags |= trace::kFlagAudited;
-          }
+    if (trace_decision) {
+      trace_.RecordLatency(static_cast<uint32_t>(req.op), path, total);
+      trace::TraceRecord rec;
+      rec.ts_ns = trace::NowNs();
+      rec.worker = obs.worker;
+      rec.op = obs.op;
+      rec.event = static_cast<uint8_t>(trace::Event::kDecision);
+      rec.path = static_cast<uint8_t>(path);
+      rec.cache = cache_outcome;
+      rec.subject_sid = req.task->cred.sid;
+      rec.object_sid = pkt.has_object ? pkt.object_sid : sim::kInvalidSid;
+      rec.chain_id = obs.chain_id;
+      rec.rule_index = obs.rule_index;
+      rec.ctx_ns = trace::ClampNs(obs.ctx_ns);
+      rec.total_ns = trace::ClampNs(total);
+      rec.eval_ns = trace::ClampNs(total >= obs.ctx_ns ? total - obs.ctx_ns : 0);
+      if (drop) {
+        rec.flags |= trace::kFlagDrop;
+        if (config_.audit_only) {
+          rec.flags |= trace::kFlagAudited;
         }
-        if (pkt.entrypoint_valid) {
-          rec.flags |= trace::kFlagEptValid;
-          rec.ept_dev = pkt.entrypoint.image.dev;
-          rec.ept_ino = pkt.entrypoint.image.ino;
-          rec.ept_offset = pkt.entrypoint.offset;
-        }
-        if (state_probe) {
-          rec.flags |= trace::kFlagStateKey;  // decision keyed on automaton state
-        }
-        trace_.Emit(rec);
       }
+      if (pkt.entrypoint_valid) {
+        rec.flags |= trace::kFlagEptValid;
+        rec.ept_dev = pkt.entrypoint.image.dev;
+        rec.ept_ino = pkt.entrypoint.image.ino;
+        rec.ept_offset = pkt.entrypoint.offset;
+      }
+      if (state_probe) {
+        rec.flags |= trace::kFlagStateKey;  // decision keyed on automaton state
+      }
+      trace_.Emit(rec);
     }
   }
 
   // --- audit epilogue: materialize this decision's security events with
   // full provenance. Runs after the scratch pop on purpose — the audit-mode
   // EmitLog in the verdict tail below must not double-report as a kLogHit.
-  if constexpr (audit::kAuditCompiledIn) {
+  if constexpr (trace::kTraceCompiledIn) {
     if (audit_active) {
-      g_audit = audit_scratch.prev;
       // Stack-local event check before anything shared: an allow that saw no
       // mid-traversal events — the hot path — pays no atomic load here (a
       // kind mask of 0 zeroes every event count below).
-      const bool any_event = drop || audit_scratch.phase_count != 0 ||
-                             audit_scratch.log_count != 0;
+      const bool any_event = drop || obs.phase_count != 0 || obs.log_count != 0;
       const uint32_t kinds = any_event ? audit_.kinds() : 0;
       const bool deny_event =
           drop && (kinds & audit::KindBit(config_.audit_only
                                               ? audit::Kind::kAuditedDeny
                                               : audit::Kind::kDeny)) != 0;
-      const uint32_t n_phase =
-          (kinds & audit::KindBit(audit::Kind::kPhase)) != 0
-              ? std::min(audit_scratch.phase_count, AuditScratch::kMaxPending)
-              : 0;
-      const uint32_t n_log =
-          (kinds & audit::KindBit(audit::Kind::kLogHit)) != 0
-              ? std::min(audit_scratch.log_count, AuditScratch::kMaxPending)
-              : 0;
+      const uint32_t n_phase = (kinds & audit::KindBit(audit::Kind::kPhase)) != 0
+                                   ? std::min(obs.phase_count, ObsScratch::kMaxPending)
+                                   : 0;
+      const uint32_t n_log = (kinds & audit::KindBit(audit::Kind::kLogHit)) != 0
+                                 ? std::min(obs.log_count, ObsScratch::kMaxPending)
+                                 : 0;
       if (deny_event || n_phase != 0 || n_log != 0) {
-        const size_t w = trace_active ? scratch.worker : WorkerIndex();
+        const size_t w = trace_active ? obs.worker : WorkerIndex();
         audit::AuditRecord base;
         base.ts_ns = trace::NowNs();
         base.generation = rs.generation;
@@ -1675,10 +1642,10 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
           base.ept_ino = pkt.entrypoint.image.ino;
           base.ept_offset = pkt.entrypoint.offset;
         }
-        if (obs_timed) {
+        if (obs.time_ctx) {
           base.flags |= audit::kFlagTimed;
           base.total_ns = total;
-          base.ctx_ns = scratch.ctx_ns;
+          base.ctx_ns = obs.ctx_ns;
         }
         // Serving-tier attribution: which layer of the engine produced (or
         // replayed) the verdict this event belongs to.
@@ -1723,15 +1690,15 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
           rec.kind = static_cast<uint8_t>(audit::Kind::kPhase);
           rec.flags = static_cast<uint16_t>(rec.flags & ~audit::kFlagStateKey);
           rec.automaton = audit::kNoAutomaton;
-          rec.astate_in = static_cast<uint64_t>(audit_scratch.phase_from[i]);
-          rec.astate_out = static_cast<uint64_t>(audit_scratch.phase_to[i]);
+          rec.astate_in = static_cast<uint64_t>(obs.phase_from[i]);
+          rec.astate_out = static_cast<uint64_t>(obs.phase_to[i]);
           audit_.Emit(w, rec);
         }
         for (uint32_t i = 0; i < n_log; ++i) {
           audit::AuditRecord rec = base;
           rec.kind = static_cast<uint8_t>(audit::Kind::kLogHit);
-          rec.chain_id = audit_scratch.log_chain[i];
-          rec.rule_index = audit_scratch.log_rule[i];
+          rec.chain_id = obs.log_chain[i];
+          rec.rule_index = obs.log_rule[i];
           audit_.Emit(w, rec);
         }
         if (deny_event) {
@@ -1739,8 +1706,8 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
           rec.kind = static_cast<uint8_t>(config_.audit_only
                                               ? audit::Kind::kAuditedDeny
                                               : audit::Kind::kDeny);
-          rec.chain_id = decided ? hit_chain : scratch.chain_id;
-          rec.rule_index = decided ? hit_rule : scratch.rule_index;
+          rec.chain_id = decided ? hit_chain : obs.chain_id;
+          rec.rule_index = decided ? hit_rule : obs.rule_index;
           audit_.Emit(w, rec);
         }
       }

@@ -466,11 +466,12 @@ class VerdictCache {
 void NoteRuleHit(const Rule* rule);
 void NoteDictDelta(const std::string& key, bool unset, int64_t value);
 
-// Audit-observer hook: while Engine::Authorize runs with the audit pipeline
-// enabled, a thread-local observer is armed and every `@phase` dictionary
-// write site — the compiled kStateSet handler, StateTarget/PhaseTarget::Fire,
-// the stateful cache-hit replay — reports the transition through this (no-op
-// when unarmed, one predictable branch on a path that already took a mutex).
+// Audit-observer hook: while Engine::Authorize runs an observed decision
+// (traced or audited), its thread-local observer scratch is armed and every
+// `@phase` dictionary write site — the compiled kStateSet handler,
+// StateTarget/PhaseTarget::Fire, the stateful cache-hit replay — reports the
+// transition through this (no-op when unarmed, one predictable branch on a
+// path that already took a mutex).
 void NotePhaseTransition(int64_t from, int64_t to);
 
 class Engine : public sim::SecurityModule {
@@ -524,7 +525,8 @@ class Engine : public sim::SecurityModule {
   const trace::TraceHub& trace() const { return trace_; }
 
   // The security-event audit pipeline (src/audit, DESIGN.md §5j). Disabled
-  // it costs one relaxed load per Authorize; compiled out under PF_AUDIT=OFF.
+  // it costs one relaxed load per Authorize; compiled out with tracing under
+  // PF_NO_TRACE.
   audit::AuditHub& audit() { return audit_; }
   const audit::AuditHub& audit() const { return audit_; }
 

@@ -11,30 +11,6 @@ namespace pf::trace {
 
 namespace {
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 Event EventOf(const TraceRecord& rec) {
   return rec.event < static_cast<uint8_t>(Event::kCount) ? static_cast<Event>(rec.event)
                                                          : Event::kCount;
@@ -65,6 +41,30 @@ std::string NameTable::OpName(uint32_t op) {
     return std::string(sim::OpName(static_cast<sim::Op>(op)));
   }
   return "op:" + std::to_string(op);
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 std::string VerdictString(const TraceRecord& rec) {

@@ -7,6 +7,7 @@
 #define SRC_TRACE_EXPORT_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/trace/hub.h"
@@ -48,6 +49,10 @@ std::string RenderChromeTrace(const std::vector<TraceRecord>& records, const Nam
 // truth for these family/help strings — Engine::MetricsText() is the only
 // caller, so every surface that serves an exposition agrees.
 void WriteRingFamilies(PromWriter& w, const TraceHub& hub);
+
+// Escapes `s` for a JSON string body: quotes, backslashes and control
+// characters. The one escaper behind every JSON exporter (trace and audit).
+std::string JsonEscape(std::string_view s);
 
 // "drop" / "drop(audited)" / "accept" from record flags.
 std::string VerdictString(const TraceRecord& rec);

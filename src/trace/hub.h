@@ -1,21 +1,16 @@
 // TraceHub: the per-engine tracing control plane (DESIGN.md §5e).
 //
-// One hub owns everything observability-related that hangs off an Engine:
-// the atomic enable state (an event bitmask plus a per-op filter), the
-// lazily-allocated per-worker rings, and the always-on latency histograms.
-// The hot-path contract is:
+// One hub owns the tracing policy that hangs off an Engine: the atomic
+// enable state (an event bitmask plus a per-op filter), the always-on
+// latency histograms, and a LaneRings record set (ring.h) shared in shape
+// with the audit hub. The hot-path contract is:
 //
-//   * tracing compiled out (PF_NO_TRACE)  -> ShouldTrace() is constexpr
-//     false and every emission site is dead-code-eliminated;
+//   * observability compiled out (PF_NO_TRACE) -> ShouldTrace() is
+//     constexpr false and every emission site is dead-code-eliminated;
 //   * compiled in, disabled (the default) -> one relaxed load of the event
 //     mask per tracepoint, nothing else;
 //   * enabled                             -> gate, fill a 64-byte record on
 //     the stack, eight relaxed stores into the worker's private ring.
-//
-// Rings are heap-allocated on first emission from a worker (engines are
-// created by the dozen in tests; reserving 64 x 256 KiB up front would
-// dwarf the engine itself). Allocation takes a mutex once per worker per
-// hub; after that the pointer is a relaxed load from an atomic slot.
 #ifndef SRC_TRACE_HUB_H_
 #define SRC_TRACE_HUB_H_
 
@@ -23,8 +18,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/trace/record.h"
@@ -78,15 +71,11 @@ class LatencyHistogram {
 
 class TraceHub {
  public:
-  // One ring per worker lane (core::kWorkerLanes), plus one shared ring for
-  // the overflow lane (worker index kMaxWorkers) whose producers serialize
-  // on a mutex.
-  static constexpr size_t kMaxWorkers = 64;
+  // Worker index kMaxWorkers is the shared overflow ring (LaneRings).
+  static constexpr size_t kMaxWorkers = LaneRings<TraceRecord>::kLanes;
   static constexpr size_t kMaxOps = 64;      // op filter is one uint64
 
   TraceHub() = default;
-  explicit TraceHub(size_t ring_capacity) : ring_capacity_(ring_capacity) {}
-  ~TraceHub();
   TraceHub(const TraceHub&) = delete;
   TraceHub& operator=(const TraceHub&) = delete;
 
@@ -100,6 +89,10 @@ class TraceHub {
   void Disable() { events_.store(0, std::memory_order_relaxed); }
   uint32_t events() const { return events_.load(std::memory_order_relaxed); }
   bool enabled() const { return events() != 0; }
+
+  // Capacity of the rings allocated from now on (a worker's ring is
+  // allocated on its first emission); existing rings keep theirs.
+  void set_ring_capacity(size_t capacity) { rings_.set_capacity(capacity); }
 
   // Per-op filter: bit i admits op i. Defaults to all ops.
   void SetOpFilter(uint64_t mask) { op_filter_.store(mask, std::memory_order_relaxed); }
@@ -129,16 +122,7 @@ class TraceHub {
     if constexpr (!kTraceCompiledIn) {
       return;
     }
-    const size_t w = rec.worker;
-    if (w >= kMaxWorkers) {
-      EmitOverflow(rec);
-      return;
-    }
-    TraceRing* ring = rings_[w].load(std::memory_order_acquire);
-    if (ring == nullptr) {
-      ring = AllocateRing(w);
-    }
-    ring->Push(rec);
+    rings_.Push(rec.worker, rec);
   }
 
   // Always-on latency attribution (cheap enough to run whenever tracing is
@@ -154,38 +138,28 @@ class TraceHub {
 
   // The ring of worker `w` (kMaxWorkers: the overflow ring), or null if
   // that worker never emitted.
-  TraceRing* ring(size_t w) const {
-    return w < kRings ? rings_[w].load(std::memory_order_acquire) : nullptr;
-  }
+  TraceRing* ring(size_t w) const { return rings_.ring(w); }
 
   const LatencyHistogram& histogram(uint32_t op, Path path) const {
     return histograms_[op & (kMaxOps - 1)][static_cast<size_t>(path)];
   }
 
-  // Records lost across all rings (the ISSUE's `trace_drops`).
-  uint64_t drops() const;
+  // Records lost across all rings (EngineStats::trace_drops).
+  uint64_t drops() const { return rings_.drops(); }
   // Records ever emitted across all rings.
-  uint64_t records() const;
+  uint64_t records() const { return rings_.pushed(); }
 
   // Pops every pending record from every ring, merged in timestamp order.
   // The caller is the (single) consumer of each ring.
-  std::vector<TraceRecord> Drain();
+  std::vector<TraceRecord> Drain() { return rings_.Drain(); }
 
   void ResetHistograms();
 
  private:
-  static constexpr size_t kRings = kMaxWorkers + 1;
-
-  TraceRing* AllocateRing(size_t w);
-  void EmitOverflow(const TraceRecord& rec);
-
   std::atomic<uint32_t> events_{0};
   std::atomic<uint64_t> op_filter_{~0ull};
-  size_t ring_capacity_ = kDefaultRingCapacity;
 
-  std::array<std::atomic<TraceRing*>, kRings> rings_{};
-  std::mutex alloc_mu_;     // serializes first-emission ring allocation
-  std::mutex overflow_mu_;  // the overflow ring's producers take turns
+  LaneRings<TraceRecord> rings_;
 
   std::array<std::array<LatencyHistogram, kPathCount>, kMaxOps> histograms_{};
 };

@@ -20,9 +20,11 @@
 
 namespace pf::trace {
 
-// Whether tracing support is compiled into this build. With -DPF_NO_TRACE
-// every tracepoint gate folds to constant false and the emission code is
-// dead-code-eliminated — the hot path carries not even the relaxed load.
+// The one observability compile switch: whether tracing *and* the audit
+// pipeline are compiled into this build. With -DPF_NO_TRACE (CMake
+// PF_TRACE=OFF) every trace and audit gate folds to constant false and the
+// emission code is dead-code-eliminated — the hot path carries not even the
+// relaxed loads.
 #ifdef PF_NO_TRACE
 inline constexpr bool kTraceCompiledIn = false;
 #else

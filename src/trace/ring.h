@@ -23,13 +23,20 @@
 // the tracing flight recorder, audit::AuditRecord (128 bytes) for the
 // security-event pipeline. Any trivially-copyable record whose size is a
 // multiple of 8 works.
+//
+// LaneRings below is the per-worker ring set both hubs are built on: one
+// ring per worker lane, allocated on the lane's first push, plus a shared
+// overflow ring. Each hub owns its own instance, so a verbose trace stream
+// can never evict audit records (the audit conservation contract).
 #ifndef SRC_TRACE_RING_H_
 #define SRC_TRACE_RING_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <type_traits>
 #include <vector>
 
@@ -151,6 +158,105 @@ class RecordRing {
 };
 
 using TraceRing = RecordRing<TraceRecord>;
+
+// One RecordRing per worker lane (core::kWorkerLanes) plus one shared ring
+// for the overflow lane (index kLanes), whose producers serialize on a
+// mutex. Rings are heap-allocated on a lane's first push (engines are
+// created by the dozen in tests; reserving 65 rings up front would dwarf the
+// engine itself): allocation takes a mutex once per lane, after that the
+// pointer is an acquire load from an atomic slot.
+template <typename Record>
+class LaneRings {
+ public:
+  using Ring = RecordRing<Record>;
+  static constexpr size_t kLanes = 64;
+
+  explicit LaneRings(size_t capacity = kDefaultRingCapacity) : capacity_(capacity) {}
+  ~LaneRings() {
+    for (auto& slot : rings_) {
+      delete slot.load(std::memory_order_acquire);
+    }
+  }
+  LaneRings(const LaneRings&) = delete;
+  LaneRings& operator=(const LaneRings&) = delete;
+
+  // Capacity of the rings allocated from now on; existing rings keep theirs.
+  void set_capacity(size_t capacity) {
+    std::lock_guard<std::mutex> lock(alloc_mu_);
+    capacity_ = capacity;
+  }
+
+  // Publishes into `lane`'s ring. The caller must own that lane (rings are
+  // SPSC); lanes of kLanes or above share the overflow ring. Never fails: a
+  // full ring evicts its oldest record and counts a drop.
+  void Push(size_t lane, const Record& rec) {
+    if (lane >= kLanes) {
+      std::lock_guard<std::mutex> lock(overflow_mu_);
+      RingFor(kLanes)->Push(rec);
+      return;
+    }
+    RingFor(lane)->Push(rec);
+  }
+
+  // The ring of `lane` (kLanes: the overflow ring), or null if that lane
+  // never pushed.
+  Ring* ring(size_t lane) const {
+    return lane < kRings ? rings_[lane].load(std::memory_order_acquire) : nullptr;
+  }
+
+  // Records ever pushed / evicted unread, summed over every ring.
+  uint64_t pushed() const { return Sum(&Ring::pushed); }
+  uint64_t drops() const { return Sum(&Ring::drops); }
+
+  // Pops every pending record from every ring, merged in timestamp order.
+  // The caller is the (single) consumer of each ring.
+  std::vector<Record> Drain() {
+    std::vector<Record> out;
+    for (size_t lane = 0; lane < kRings; ++lane) {
+      if (Ring* r = ring(lane)) {
+        Record rec;
+        while (r->Pop(&rec)) {
+          out.push_back(rec);
+        }
+      }
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const Record& a, const Record& b) { return a.ts_ns < b.ts_ns; });
+    return out;
+  }
+
+ private:
+  static constexpr size_t kRings = kLanes + 1;
+
+  Ring* RingFor(size_t lane) {
+    Ring* r = rings_[lane].load(std::memory_order_acquire);
+    if (r != nullptr) {
+      return r;
+    }
+    std::lock_guard<std::mutex> lock(alloc_mu_);
+    r = rings_[lane].load(std::memory_order_acquire);
+    if (r == nullptr) {  // no other producer won the race
+      r = new Ring(capacity_);
+      rings_[lane].store(r, std::memory_order_release);
+    }
+    return r;
+  }
+
+  uint64_t Sum(uint64_t (Ring::*counter)() const) const {
+    uint64_t total = 0;
+    for (size_t lane = 0; lane < kRings; ++lane) {
+      if (const Ring* r = ring(lane)) {
+        total += (r->*counter)();
+      }
+    }
+    return total;
+  }
+
+  std::array<std::atomic<Ring*>, kRings> rings_{};
+  size_t capacity_;         // guarded by alloc_mu_
+  std::mutex alloc_mu_;     // serializes first-push ring allocation
+  std::mutex overflow_mu_;  // the overflow ring's producers take turns
+};
 
 }  // namespace pf::trace
 

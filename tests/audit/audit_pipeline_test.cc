@@ -270,8 +270,8 @@ sim::AccessRequest OpenRequest(sim::Task& task, sim::Inode* inode) {
 }
 
 TEST(AuditPipelineTest, EveryBlockedAccessYieldsAnExactlyAttributedRecord) {
-  if (!kAuditCompiledIn) {
-    GTEST_SKIP() << "audit compiled out (PF_AUDIT=OFF)";
+  if (!trace::kTraceCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (PF_NO_TRACE)";
   }
   // Entrypoint-filtered so the lazily resolved entrypoint context is
   // material to the decision — every deny record must carry the binding.
@@ -374,8 +374,8 @@ TEST(AuditPipelineTest, EveryBlockedAccessYieldsAnExactlyAttributedRecord) {
 }
 
 TEST(AuditPipelineTest, AuditOnlyModeEmitsAuditedDenyAndAllows) {
-  if (!kAuditCompiledIn) {
-    GTEST_SKIP() << "audit compiled out (PF_AUDIT=OFF)";
+  if (!trace::kTraceCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (PF_NO_TRACE)";
   }
   core::EngineConfig cfg;
   cfg.audit_only = true;
@@ -405,8 +405,8 @@ TEST(AuditPipelineTest, AuditOnlyModeEmitsAuditedDenyAndAllows) {
 }
 
 TEST(AuditPipelineTest, LogHitsCarryTheLogRulesAttribution) {
-  if (!kAuditCompiledIn) {
-    GTEST_SKIP() << "audit compiled out (PF_AUDIT=OFF)";
+  if (!trace::kTraceCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (PF_NO_TRACE)";
   }
   BootedEngine env = Boot({
       "pftables -o FILE_OPEN -d shadow_t -j LOG --prefix audit-test",
@@ -440,8 +440,8 @@ TEST(AuditPipelineTest, LogHitsCarryTheLogRulesAttribution) {
 }
 
 TEST(AuditPipelineTest, PhaseTransitionsEmitFromToRecords) {
-  if (!kAuditCompiledIn) {
-    GTEST_SKIP() << "audit compiled out (PF_AUDIT=OFF)";
+  if (!trace::kTraceCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (PF_NO_TRACE)";
   }
   BootedEngine env = Boot({
       "pftables -o FILE_OPEN -d shadow_t -j PHASE --enter serving",
@@ -484,8 +484,8 @@ TEST(AuditPipelineTest, DisabledHubEmitsNothing) {
 // --- exporters over real records ------------------------------------------
 
 TEST(AuditExportTest, RenderersCoverDrainedRecords) {
-  if (!kAuditCompiledIn) {
-    GTEST_SKIP() << "audit compiled out (PF_AUDIT=OFF)";
+  if (!trace::kTraceCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (PF_NO_TRACE)";
   }
   BootedEngine env = Boot({"pftables -o FILE_OPEN -d shadow_t -j DROP"});
   AuditHub::Config acfg;

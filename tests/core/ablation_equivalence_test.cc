@@ -280,8 +280,8 @@ TEST(AblationEquivalenceTest, AuditIsAPureObserver) {
   // pipeline armed (every kind, suppression off) must reproduce verdicts,
   // STATE dictionaries, and the decision counters bit for bit. Audit may
   // add audit_* accounting; it may not perturb the decisions it describes.
-  if (!audit::kAuditCompiledIn) {
-    GTEST_SKIP() << "audit compiled out (PF_AUDIT=OFF)";
+  if (!trace::kTraceCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (PF_NO_TRACE)";
   }
   const EngineConfig cfg = MakeConfig(true, true, true, true, true);
   std::vector<std::map<std::string, int64_t>> dicts_off, dicts_on;

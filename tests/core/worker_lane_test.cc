@@ -101,8 +101,8 @@ TEST(WorkerLaneTest, LaneIsStablePerThreadAndReusedAfterExit) {
 // masked to 64 rings, B landed on A's ring and both produced into one SPSC
 // ring. With lanes, B reuses an exited thread's lane, never A's.
 TEST(WorkerLaneTest, LiveThreadsNeverShareARing) {
-  if (!trace::kTraceCompiledIn || !audit::kAuditCompiledIn) {
-    GTEST_SKIP() << "tracing or audit compiled out";
+  if (!trace::kTraceCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (PF_NO_TRACE)";
   }
   Rig rig;
   std::mutex mu;
@@ -154,8 +154,8 @@ TEST(WorkerLaneTest, LiveThreadsNeverShareARing) {
 // fallback) and its records land in the shared overflow ring, not in a
 // live thread's ring.
 TEST(WorkerLaneTest, ThreadBeyondTheLanesUsesTheOverflowRing) {
-  if (!trace::kTraceCompiledIn || !audit::kAuditCompiledIn) {
-    GTEST_SKIP() << "tracing or audit compiled out";
+  if (!trace::kTraceCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (PF_NO_TRACE)";
   }
   Rig rig;
   std::mutex mu;

@@ -144,7 +144,8 @@ TEST(TraceConcurrentTest, HubManyProducersOneFollower) {
   }
   constexpr int kWorkers = 4;
   constexpr uint64_t kPerWorker = 40000;
-  TraceHub hub(128);
+  TraceHub hub;
+  hub.set_ring_capacity(128);
   hub.Enable();
 
   std::atomic<int> running{kWorkers};

@@ -305,5 +305,62 @@ TEST(TraceEngineTest, TraceRecordsSurfaceInEngineStats) {
   EXPECT_EQ(s.trace_drops, 0u);
 }
 
+// One observer spine: a decision that is both traced and audited installs
+// one scratch, so its kDecision trace record and its kDeny audit record are
+// two views of the same attribution. The record kinds still land in separate
+// ring sets: flooding a 16-record trace ring on the lane the audit records
+// use must not cost the audit stream a single record.
+TEST(TraceEngineTest, TracedAndAuditedDenyShareOneScratch) {
+  if (!trace::kTraceCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (PF_NO_TRACE)";
+  }
+  Rig rig;
+  ASSERT_TRUE(rig.Install({"pftables -o FILE_OPEN -d shadow_t -j DROP"}).ok());
+  audit::AuditHub::Config acfg;
+  acfg.bucket_capacity = 0;  // count every denial
+  acfg.timed = true;
+  rig.engine->audit().Enable(acfg);
+  rig.engine->trace().set_ring_capacity(16);
+  rig.engine->trace().Enable(trace::EventBit(Event::kDecision));
+
+  EXPECT_LT(rig.Open("/etc/shadow"), 0);
+  const std::vector<TraceRecord> decisions =
+      OfKind(rig.engine->trace().Drain(), Event::kDecision);
+  const std::vector<audit::AuditRecord> audits = rig.engine->audit().Drain();
+  ASSERT_EQ(decisions.size(), 1u);
+  ASSERT_EQ(audits.size(), 1u);
+  const TraceRecord& t = decisions[0];
+  const audit::AuditRecord& a = audits[0];
+  EXPECT_NE(t.flags & trace::kFlagDrop, 0);
+  EXPECT_EQ(a.kind, static_cast<uint8_t>(audit::Kind::kDeny));
+  EXPECT_NE(a.flags & audit::kFlagTimed, 0);
+  EXPECT_EQ(t.worker, a.worker);
+  EXPECT_GE(t.chain_id, 0) << "the compiled evaluator attributes the DROP rule";
+  EXPECT_EQ(t.chain_id, a.chain_id);
+  EXPECT_EQ(t.rule_index, a.rule_index);
+  EXPECT_EQ(t.ctx_ns, a.ctx_ns);
+
+  // Flood the trace ring of this lane with every event stream while the
+  // same decisions emit audit records.
+  rig.engine->trace().Enable(trace::kAllEvents);
+  constexpr uint64_t kDenies = 64;
+  for (uint64_t i = 0; i < kDenies; ++i) {
+    EXPECT_EQ(rig.Open("/etc/passwd"), 0);
+    EXPECT_LT(rig.Open("/etc/shadow"), 0);
+  }
+  const trace::TraceRing* tring = rig.engine->trace().ring(t.worker);
+  ASSERT_NE(tring, nullptr);
+  EXPECT_EQ(tring->capacity(), 16u);
+  EXPECT_GT(tring->drops(), 0u) << "the trace ring must overflow";
+  EXPECT_NE(rig.engine->audit().ring(t.worker), nullptr);
+  EXPECT_EQ(rig.engine->audit().Drain().size(), kDenies);
+
+  const EngineStats s = rig.engine->stats();
+  EXPECT_EQ(s.audit_emitted, 1 + kDenies);
+  EXPECT_EQ(s.audit_emitted, s.audit_records + s.audit_suppressed);
+  EXPECT_EQ(s.audit_records, rig.engine->audit().drained() + s.audit_ring_drops);
+  EXPECT_EQ(s.audit_ring_drops, 0u);
+}
+
 }  // namespace
 }  // namespace pf::core

@@ -18,9 +18,11 @@
 #include <vector>
 
 #include "src/apps/programs.h"
+#include "src/audit/export.h"
 #include "src/audit/hub.h"
 #include "src/core/engine.h"
 #include "src/core/pftables.h"
+#include "src/sim/label.h"
 #include "src/sim/sched.h"
 #include "src/sim/sysimage.h"
 #include "src/trace/export.h"
@@ -482,6 +484,19 @@ TEST(TraceExportTest, VerdictAndCacheStrings) {
   EXPECT_EQ(CacheString(kCacheNone), "none");
 }
 
+// Every line of a JSON-lines rendering must parse on its own.
+size_t ExpectEveryLineParses(const std::string& jsonl) {
+  std::istringstream in(jsonl);
+  std::string line;
+  size_t lines = 0;
+  while (std::getline(in, line)) {
+    JsonValidator v(line);
+    EXPECT_TRUE(v.Validate()) << line;
+    ++lines;
+  }
+  return lines;
+}
+
 TEST(TraceExportTest, JsonEscapingSurvivesHostileLabelNames) {
   // Label names flow into JSON strings; a name full of quotes, backslashes
   // and control characters must not break validity.
@@ -490,6 +505,29 @@ TEST(TraceExportTest, JsonEscapingSurvivesHostileLabelNames) {
   const std::string chrome = RenderChromeTrace(recs, names);
   JsonValidator v(chrome);
   EXPECT_TRUE(v.Validate());
+
+  // The same run with the subject and object resolving to hostile names,
+  // through every JSON exporter — trace and audit share one escaper.
+  sim::LabelRegistry labels;
+  const sim::Sid subj = labels.Intern("evil\"_t\\\n");
+  const sim::Sid obj = labels.Intern(std::string("\t\x01\"}{\x1f", 6));
+  NameTable hostile{&labels};
+  recs[0].subject_sid = subj;
+  recs[0].object_sid = obj;
+  const std::string hostile_chrome = RenderChromeTrace(recs, hostile);
+  JsonValidator hv(hostile_chrome);
+  EXPECT_TRUE(hv.Validate()) << hostile_chrome;
+  EXPECT_EQ(ExpectEveryLineParses(RenderJsonLines(recs, hostile)), recs.size());
+
+  audit::AuditRecord deny;
+  deny.ts_ns = 100;
+  deny.kind = static_cast<uint8_t>(audit::Kind::kDeny);
+  deny.flags = audit::kFlagHasObject;
+  deny.subject_sid = subj;
+  deny.object_sid = obj;
+  const std::vector<audit::AuditRecord> audits = {deny, deny};
+  EXPECT_EQ(ExpectEveryLineParses(audit::RenderJsonLines(audits, hostile)),
+            audits.size());
 }
 
 // --- end-to-end: a real traced engine run feeds every exporter ------------
@@ -626,8 +664,8 @@ TEST(TraceExportTest, MetricsTextParsesAsPrometheusExposition) {
 // the per-ring pf_trace_ring_utilization gauge, and the sampled counters
 // must satisfy the hub's conservation contract.
 TEST(TraceExportTest, AuditFamiliesExposeConservedCounters) {
-  if (!audit::kAuditCompiledIn) {
-    GTEST_SKIP() << "audit compiled out (PF_AUDIT=OFF)";
+  if (!kTraceCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (PF_NO_TRACE)";
   }
   sim::Kernel kernel(0x5eed);
   sim::BuildSysImage(kernel);
