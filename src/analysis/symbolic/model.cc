@@ -11,7 +11,6 @@ namespace pf::analysis::symbolic {
 namespace {
 
 using core::Chain;
-using core::CompiledChain;
 using core::CompiledRuleset;
 using core::kMaxChainDepth;
 using core::MatchModule;
@@ -369,7 +368,7 @@ class Builder {
         return;
       }
       case TargetKind::kJump: {
-        const CompiledChain* target = rs_.FindCompiled(rule.target->jump_chain());
+        const Chain* target = rs_.rules.filter().Find(rule.target->jump_chain());
         if (target == nullptr || depth >= kMaxChainDepth) {
           next->push_back(std::move(hit));
           return;
@@ -406,20 +405,36 @@ class Builder {
     }
   }
 
-  std::vector<Outcome> RunChain(const CompiledChain& cc, Item item, sim::Op op,
-                                int depth) {
+  std::vector<Outcome> RunChain(const Chain& chain, Item item, sim::Op op, int depth) {
     std::vector<Outcome> out;
     if (depth >= kMaxChainDepth) {
       out.push_back({CV::kFallthrough, std::move(item), ""});
       return out;
     }
-    const Chain& chain = *cc.chain;
     NoteReach(chain, op, item);
-    const core::OpBucket& bucket = cc.ops[static_cast<size_t>(op)];
+    // The op's rule lists, filtered here from the chain itself (not read off
+    // the engine's buckets) so the model stays an independent oracle: `all`
+    // holds the rules whose -o operand can match, `plain` the subset the
+    // entrypoint index does not cover.
+    const bool indexed = opts_.ept_chains && chain.index_built();
+    std::vector<const Rule*> all;
+    std::vector<const Rule*> plain_rules;
+    bool has_indexed = false;
+    for (const auto& rule : chain.rules()) {
+      if (rule->op && *rule->op != op) {
+        continue;
+      }
+      all.push_back(rule.get());
+      if (indexed && rule->IndexableByEntrypoint()) {
+        has_indexed = true;
+      } else {
+        plain_rules.push_back(rule.get());
+      }
+    }
     std::vector<Item> seed;
     seed.push_back(std::move(item));
-    if (!(opts_.ept_chains && chain.index_built())) {
-      EvalList(bucket.all, std::move(seed), op, depth, &out);
+    if (!indexed) {
+      EvalList(all, std::move(seed), op, depth, &out);
       MergeOutcomes(&out);
       return out;
     }
@@ -427,13 +442,13 @@ class Builder {
     // entrypoint list — requests with no indexed entrypoint (including an
     // unusable stack) fall through past the index.
     std::vector<Outcome> plain;
-    EvalList(bucket.plain, std::move(seed), op, depth, &plain);
+    EvalList(plain_rules, std::move(seed), op, depth, &plain);
     for (Outcome& o : plain) {
       if (o.verdict != CV::kFallthrough) {
         out.push_back(std::move(o));
         continue;
       }
-      if (!bucket.has_indexed) {
+      if (!has_indexed) {
         out.push_back(std::move(o));
         continue;
       }
@@ -532,25 +547,28 @@ class Builder {
   // --- symbolic twin of Authorize's root loop ---
 
   void RunOp(sim::Op op) {
-    const CompiledChain* roots[3];
+    const core::PfProgram& prog = rs_.program;
+    const core::ProgramChain* roots[3];
     size_t num_roots = 0;
-    auto consider = [&](const CompiledChain* cc) {
-      if (cc != nullptr &&
-          (((cc->op_mask >> static_cast<size_t>(op)) & 1) != 0 ||
-           cc->chain->policy() == Chain::Policy::kDrop)) {
-        roots[num_roots++] = cc;
+    auto consider = [&](int32_t id) {
+      if (id < 0) {
+        return;
+      }
+      const core::ProgramChain& pc = prog.chains[static_cast<size_t>(id)];
+      if (((pc.op_mask >> static_cast<size_t>(op)) & 1) != 0 || pc.policy_drop) {
+        roots[num_roots++] = &pc;
       }
     };
     if (op == sim::Op::kSyscallBegin) {
-      consider(rs_.cc_syscallbegin);
+      consider(prog.root_syscallbegin);
     } else {
       if (core::IsCreateOp(op)) {
-        consider(rs_.cc_create);
+        consider(prog.root_create);
       }
       if (core::IsOutputOp(op)) {
-        consider(rs_.cc_output);
+        consider(prog.root_output);
       }
-      consider(rs_.cc_input);
+      consider(prog.root_input);
     }
 
     std::vector<DecisionRegion>& final = m_.by_op[static_cast<size_t>(op)];
@@ -565,17 +583,17 @@ class Builder {
     std::vector<Item> pending;
     pending.push_back(std::move(whole));
     for (size_t i = 0; i < num_roots; ++i) {
-      const CompiledChain& cc = *roots[i];
+      const Chain& chain = *rs_.rules.filter().Find(roots[i]->name);
       std::vector<Item> next;
       for (Item& item : pending) {
-        for (Outcome& o : RunChain(cc, std::move(item), op, 0)) {
+        for (Outcome& o : RunChain(chain, std::move(item), op, 0)) {
           // RunBuiltin: RETURN in a root chain falls through, and a
           // fallthrough under a DROP-policy builtin denies.
           if (o.verdict == CV::kFallthrough || o.verdict == CV::kReturn) {
-            if (cc.chain->policy() == Chain::Policy::kDrop) {
+            if (chain.policy() == Chain::Policy::kDrop) {
               final.push_back({std::move(o.item.region), OutcomeKind::kDrop,
                                std::move(o.item.effects),
-                               "policy:" + cc.chain->name()});
+                               "policy:" + chain.name()});
             } else {
               next.push_back(std::move(o.item));
             }

@@ -23,8 +23,9 @@
 //      overflow) by rescanning only the records that touch STATE, proving
 //      every instruction's outcome a pure function of (VerdictKey, digit
 //      vector, syscall nr, signal bit) or recording the cause that keeps it
-//      on the bypass path; fold the records into per-bucket base values and
-//      close them over JUMP edges, mirroring the OpBucket purity closure.
+//      on the bypass path; fold the records into per-bucket base values.
+//      CloseBuckets (compile.cc) closes them over JUMP edges together with
+//      the buckets' context needs and purity.
 //
 // Soundness of the digit abstraction: a digit is 0 (absent), 1..n (one of
 // the n literals any rule in the program compares or stores for the key),
@@ -338,8 +339,7 @@ void MergeProtocol(std::vector<uint16_t>& protocols, uint16_t id) {
 
 // Per-chain base classification: resolve the pool-dependent half of every
 // state-touching record (the raw scan already classified the rest), then
-// fold the records' cached fields into the chain's per-op buckets (and
-// collect the buckets' JUMP edges).
+// fold the records' cached fields into the chain's per-op buckets.
 void ClassifyChain(PfProgram& prog, ProgramChain& pc, const KeyIndex& index) {
   for (uint32_t rec_idx : pc.rules) {
     RuleRecord& rec = prog.rules[rec_idx];
@@ -349,7 +349,6 @@ void ClassifyChain(PfProgram& prog, ProgramChain& pc, const KeyIndex& index) {
   }
   for (ProgramBucket& b : pc.ops) {
     b.astate_base = BucketAutomata{};
-    b.astate_jumps.clear();
     for (uint32_t i = 0; i < b.all_len; ++i) {
       const uint32_t rec_idx = prog.entries[b.all_off + i];
       const RuleRecord& rec = prog.rules[rec_idx];
@@ -363,52 +362,6 @@ void ClassifyChain(PfProgram& prog, ProgramChain& pc, const KeyIndex& index) {
         MergeProtocol(b.astate_base.protocols,
                       static_cast<uint16_t>(rec.astate_protocol));
       }
-      if (rec.jump_chain >= 0 &&
-          std::find(b.astate_jumps.begin(), b.astate_jumps.end(), rec.jump_chain) ==
-              b.astate_jumps.end()) {
-        b.astate_jumps.push_back(rec.jump_chain);
-      }
-    }
-    b.astate = b.astate_base;
-  }
-}
-
-// JUMP-edge closure, the automata twin of Engine::CloseBucketPurity: a
-// bucket inherits every reachable bucket's causes, key fields, and protocol
-// set. Monotone over a finite lattice, so the fixpoint terminates.
-void CloseAutomata(PfProgram& prog) {
-  for (ProgramChain& pc : prog.chains) {
-    for (ProgramBucket& b : pc.ops) {
-      b.astate = b.astate_base;
-    }
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (ProgramChain& pc : prog.chains) {
-      for (size_t op = 0; op < pc.ops.size(); ++op) {
-        ProgramBucket& b = pc.ops[op];
-        for (int32_t target : b.astate_jumps) {
-          const BucketAutomata& t =
-              prog.chains[static_cast<size_t>(target)].ops[op].astate;
-          const uint8_t causes = b.astate.causes | t.causes;
-          if (causes != b.astate.causes) {
-            b.astate.causes = causes;
-            changed = true;
-          }
-          if ((t.nr_in_key && !b.astate.nr_in_key) ||
-              (t.sig_in_key && !b.astate.sig_in_key)) {
-            b.astate.nr_in_key |= t.nr_in_key;
-            b.astate.sig_in_key |= t.sig_in_key;
-            changed = true;
-          }
-          for (uint16_t id : t.protocols) {
-            const size_t before = b.astate.protocols.size();
-            MergeProtocol(b.astate.protocols, id);
-            changed |= b.astate.protocols.size() != before;
-          }
-        }
-      }
     }
   }
 }
@@ -418,7 +371,6 @@ void RebuildFromFacts(PfProgram& prog) {
   for (ProgramChain& pc : prog.chains) {
     ClassifyChain(prog, pc, index);
   }
-  CloseAutomata(prog);
 }
 
 KeyIndex IndexFromPools(const PfProgram& prog) {
@@ -566,8 +518,8 @@ void BuildAutomataDelta(CompiledRuleset& snap, const std::vector<std::string>& d
     // chains' facts are already cached — only their classification rescans.
     RebuildFromFacts(prog);
   } else {
-    // Pools provably unchanged: reclassify the dirty chains' new records and
-    // rerun the (cheap) global closure over the copied base values.
+    // Pools provably unchanged: reclassify only the dirty chains' new
+    // records; the clean chains keep their copied base values.
     const KeyIndex index = IndexFromPools(prog);
     for (const std::string& name : dirty) {
       const int32_t id = prog.FindChain(name);
@@ -575,7 +527,6 @@ void BuildAutomataDelta(CompiledRuleset& snap, const std::vector<std::string>& d
         ClassifyChain(prog, prog.chains[static_cast<size_t>(id)], index);
       }
     }
-    CloseAutomata(prog);
   }
   prog.automata_build_ns += NowNs() - t0;
 }
@@ -655,11 +606,8 @@ AutomataStats ComputeAutomataStats(const PfProgram& prog) {
     }
     for (const ProgramBucket& b : pc.ops) {
       // A state bucket is one the stateful tier serves: admissible (no
-      // bypass cause) and actually in need of the extended key. Checking the
-      // key demand rather than !cacheable keeps the count delta-stable —
-      // ProgramBucket::cacheable is not refreshed on clean chains by a delta
-      // commit (the engine's own purity closure is), and a pure bucket never
-      // demands key extensions anyway.
+      // bypass cause) and in need of the extended key, which a pure bucket
+      // never is.
       if (b.all_len > 0 && b.astate.causes == 0 &&
           (!b.astate.protocols.empty() || b.astate.nr_in_key || b.astate.sig_in_key)) {
         ++stats.state_buckets;

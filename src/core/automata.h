@@ -47,15 +47,15 @@ std::optional<InsnStateRef> StateRefOfInsn(const PfProgram& prog, const PfInsn& 
 
 // Runs the pass over snap.program: rebuilds the automaton pools from every
 // live rule record, annotates each record (astate_causes/astate_protocol),
-// classifies each bucket (astate_base), closes the classification over JUMP
-// edges (astate), and caches per-chain ChainStateFacts for delta commits.
+// classifies each bucket (astate_base), and caches per-chain
+// ChainStateFacts for delta commits. CloseBuckets (program.h) then closes
+// the classification over JUMP edges (astate).
 void BuildAutomata(CompiledRuleset& snap);
 
 // Delta twin: recomputes facts for the dirty chains only; when they are
 // value-equal to the copied base generation's facts the pools are provably
-// unchanged and only the dirty chains' buckets are reclassified (plus the
-// global JUMP closure, which is cheap). Any facts change falls back to the
-// full rebuild.
+// unchanged and only the dirty chains' buckets are reclassified. Any facts
+// change falls back to the full rebuild.
 void BuildAutomataDelta(CompiledRuleset& snap, const std::vector<std::string>& dirty);
 
 // Derives the task's current automaton state vector (one digit product per

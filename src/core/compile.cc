@@ -1,12 +1,14 @@
-// Commit-time lowering: CompiledRuleset -> arena-packed PfProgram (pass 3 of
-// Engine::CompileRuleset; see program.h for the instruction format).
+// Commit-time lowering: CompiledRuleset -> arena-packed PfProgram (see
+// program.h for the instruction format).
 //
-// Lowering runs after the OpBucket passes so it can re-point the per-(chain,
-// op) dispatch tables and the entrypoint index at entry-table slices instead
-// of Rule pointers. Rule bodies are emitted in chain order, one guard/match
-// instruction sequence per rule, mirroring the legacy walker's evaluation
-// order exactly (op precheck, subject precheck, one context round-trip, the
-// entrypoint/object default matches, -m modules, target).
+// Lowering builds the program's only dispatch tables: per-(chain, op)
+// buckets and the entrypoint index as entry-table slices, each bucket with
+// its own rules' context needs and purity and its JUMP edges, which
+// CloseBuckets then closes to a fixpoint. Rule bodies are emitted in chain
+// order, one guard/match instruction sequence per rule, mirroring the legacy
+// walker's evaluation order exactly (op precheck, subject precheck, one
+// context round-trip, the entrypoint/object default matches, -m modules,
+// target).
 //
 // Two entry points share the per-chain machinery: LowerProgram builds a
 // program from scratch, LowerProgramDelta copies the previous generation's
@@ -14,7 +16,7 @@
 // chains — appending their bodies and slices to the copied arena and pools
 // (DESIGN.md §5g).
 #include <algorithm>
-#include <tuple>
+#include <iterator>
 
 #include "src/core/engine.h"
 #include "src/core/program.h"
@@ -112,10 +114,13 @@ RuleRecord LowerRule(ProgramBuilder& b, const Rule& rule, uint32_t rec_idx) {
   return rec;
 }
 
-// --- per-chain lowering helpers (shared by full and delta builds) ------------
+// --- per-chain lowering (shared by full and delta builds) ---------------------
 
-void LowerChainRules(ProgramBuilder& b, PfProgram& prog, int32_t id, const Chain& chain,
-                     std::unordered_map<const Rule*, uint32_t>& rec_of) {
+// Lowers one chain's rule bodies, then builds its per-op buckets straight
+// from the rule list (the op filter, the plain/indexed split, each bucket's
+// own needs/cacheable and deduplicated JUMP edges) and its entrypoint index.
+// Rule i of the chain is record pc.rules[i].
+void LowerChain(ProgramBuilder& b, PfProgram& prog, int32_t id, const Chain& chain) {
   ProgramChain& pc = prog.chains[static_cast<size_t>(id)];
   for (const auto& rule : chain.rules()) {
     const uint32_t rec_idx = static_cast<uint32_t>(prog.rules.size());
@@ -123,45 +128,61 @@ void LowerChainRules(ProgramBuilder& b, PfProgram& prog, int32_t id, const Chain
     RuleRecord& rec = prog.rules.back();
     rec.chain_id = id;
     rec.chain_index = static_cast<uint32_t>(pc.rules.size());
-    rec_of.emplace(rule.get(), rec_idx);
     pc.rules.push_back(rec_idx);
   }
-}
 
-// Re-points one chain's OpBucket tables and entrypoint index at entry-table
-// slices and links the CompiledChain to its program chain.
-void BuildChainTables(CompiledRuleset& snap, const Chain& chain, int32_t id,
-                      const std::unordered_map<const Rule*, uint32_t>& rec_of) {
-  PfProgram& prog = snap.program;
-  ProgramChain& pc = prog.chains[static_cast<size_t>(id)];
-  auto slice = [&prog, &rec_of](const std::vector<const Rule*>& rules) {
-    const uint32_t off = static_cast<uint32_t>(prog.entries.size());
-    for (const Rule* rule : rules) {
-      prog.entries.push_back(rec_of.at(rule));
-    }
-    return std::pair<uint32_t, uint32_t>(off, static_cast<uint32_t>(rules.size()));
-  };
-  CompiledChain& cc = snap.compiled.at(&chain);
-  cc.program_chain = id;
-  pc.op_mask = cc.op_mask;
+  const auto& rules = chain.rules();
+  std::vector<uint32_t> plain;
+  pc.op_mask = 0;
   for (size_t op = 0; op < sim::kOpCount; ++op) {
-    const OpBucket& ob = cc.ops[op];
-    ProgramBucket& pb = pc.ops[op];
-    std::tie(pb.all_off, pb.all_len) = slice(ob.all);
-    std::tie(pb.plain_off, pb.plain_len) = slice(ob.plain);
-    pb.needs = ob.needs;
-    pb.cacheable = ob.cacheable;
-    pb.has_indexed = ob.has_indexed;
+    ProgramBucket& pb = pc.ops[op];  // fresh: a new chain, or reset by the delta
+    pb.all_off = static_cast<uint32_t>(prog.entries.size());
+    plain.clear();
+    for (size_t i = 0; i < rules.size(); ++i) {
+      const Rule& rule = *rules[i];
+      if (rule.op && static_cast<size_t>(*rule.op) != op) {
+        continue;  // the op precheck can never pass; drop at compile time
+      }
+      const uint32_t rec_idx = pc.rules[i];
+      prog.entries.push_back(rec_idx);
+      pb.base_needs |= rule.needs;
+      pb.base_cacheable = pb.base_cacheable && rule.CacheableByKey();
+      if (chain.index_built() && rule.IndexableByEntrypoint()) {
+        pb.has_indexed = true;
+      } else {
+        plain.push_back(rec_idx);
+      }
+      const int32_t target = prog.rules[rec_idx].jump_chain;
+      if (target >= 0 && std::find(pb.jumps.begin(), pb.jumps.end(), target) == pb.jumps.end()) {
+        pb.jumps.push_back(target);
+      }
+    }
+    pb.all_len = static_cast<uint32_t>(prog.entries.size()) - pb.all_off;
+    pb.plain_off = static_cast<uint32_t>(prog.entries.size());
+    pb.plain_len = static_cast<uint32_t>(plain.size());
+    prog.entries.insert(prog.entries.end(), plain.begin(), plain.end());
+    if (pb.all_len != 0) {
+      pc.op_mask |= 1ull << op;
+    }
   }
+
   if (chain.index_built() && !chain.ept_index().empty()) {
+    std::unordered_map<const Rule*, uint32_t> rec_of;
+    rec_of.reserve(rules.size());
+    for (size_t i = 0; i < rules.size(); ++i) {
+      rec_of.emplace(rules[i].get(), pc.rules[i]);
+    }
     auto ept = std::make_shared<EptSliceMap>();
     ept->reserve(chain.ept_index().size());
-    for (const auto& [key, rules] : chain.ept_index()) {
-      ept->emplace(key, slice(rules));
+    for (const auto& [key, indexed] : chain.ept_index()) {
+      const uint32_t off = static_cast<uint32_t>(prog.entries.size());
+      for (const Rule* rule : indexed) {
+        prog.entries.push_back(rec_of.at(rule));
+      }
+      ept->emplace(key, std::pair<uint32_t, uint32_t>(
+                            off, static_cast<uint32_t>(indexed.size())));
     }
     pc.ept = std::move(ept);
-  } else {
-    pc.ept.reset();
   }
 }
 
@@ -190,16 +211,10 @@ void LowerProgram(CompiledRuleset& snap) {
   prog.root_create = prog.FindChain("create");
   prog.root_syscallbegin = prog.FindChain("syscallbegin");
 
-  // Phase 2: lower every rule body, chain by chain in id order.
-  std::unordered_map<const Rule*, uint32_t> rec_of;
+  // Phase 2: lower every chain — rule bodies and dispatch tables — in id
+  // order.
   for (const auto& [name, chain] : filter.chains()) {
-    LowerChainRules(b, prog, prog.chain_ids.at(name), chain, rec_of);
-  }
-
-  // Phase 3: re-point the OpBucket tables and the entrypoint index at
-  // entry-table slices, and link each CompiledChain to its program chain.
-  for (auto& [name, chain] : filter.chains()) {
-    BuildChainTables(snap, chain, prog.chain_ids.at(name), rec_of);
+    LowerChain(b, prog, prog.chain_ids.at(name), chain);
   }
 }
 
@@ -247,20 +262,71 @@ void LowerProgramDelta(CompiledRuleset& snap, const PfProgram& prev,
   }
 
   // Phase 2: re-lower the dirty chains (name-sorted), appending bodies and
-  // slices. Clean chains' tables are byte-identical to the (already verified)
-  // base generation.
-  std::unordered_map<const Rule*, uint32_t> rec_of;
+  // slices. Clean chains' slices are byte-identical to the (already
+  // verified) base generation; their closed facts are recomputed by
+  // CloseBuckets like every other bucket's.
   for (const std::string& name : dirty) {
     const Chain* chain = filter.Find(name);
     const int32_t id = prog.chain_ids.at(name);
     ProgramChain& pc = prog.chains[static_cast<size_t>(id)];
     pc.policy_drop = chain->policy() == Chain::Policy::kDrop;
     pc.index_built = chain->index_built();
-    LowerChainRules(b, prog, id, *chain, rec_of);
+    LowerChain(b, prog, id, *chain);
   }
-  for (const std::string& name : dirty) {
-    const Chain* chain = filter.Find(name);
-    BuildChainTables(snap, *chain, prog.chain_ids.at(name), rec_of);
+}
+
+void CloseBuckets(PfProgram& prog) {
+  const bool automata = prog.automata_built;
+  for (ProgramChain& pc : prog.chains) {
+    for (ProgramBucket& b : pc.ops) {
+      b.needs = b.base_needs;
+      b.cacheable = b.base_cacheable;
+      if (automata) {
+        b.astate = b.astate_base;
+      }
+    }
+  }
+  // Iteration (rather than DFS memoization) keeps mutually-recursive chains
+  // correct: a bucket's final value folds every reachable rule, exactly the
+  // set the depth-limited runtime can evaluate. Every fact only grows (needs
+  // bits, lost purity, bypass causes, key fields, protocols) over a finite
+  // lattice, so the fixpoint terminates; one round is O(edges), not O(rules).
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (ProgramChain& pc : prog.chains) {
+      for (size_t op = 0; op < sim::kOpCount; ++op) {
+        ProgramBucket& b = pc.ops[op];
+        for (int32_t target : b.jumps) {
+          const ProgramBucket& t = prog.chains[static_cast<size_t>(target)].ops[op];
+          if ((t.needs & ~b.needs) != 0 || (b.cacheable && !t.cacheable)) {
+            b.needs |= t.needs;
+            b.cacheable = b.cacheable && t.cacheable;
+            changed = true;
+          }
+          if (!automata) {
+            continue;
+          }
+          BucketAutomata& a = b.astate;
+          if ((t.astate.causes & ~a.causes) != 0 || (t.astate.nr_in_key && !a.nr_in_key) ||
+              (t.astate.sig_in_key && !a.sig_in_key)) {
+            a.causes |= t.astate.causes;
+            a.nr_in_key = a.nr_in_key || t.astate.nr_in_key;
+            a.sig_in_key = a.sig_in_key || t.astate.sig_in_key;
+            changed = true;
+          }
+          if (!std::includes(a.protocols.begin(), a.protocols.end(),
+                             t.astate.protocols.begin(), t.astate.protocols.end())) {
+            std::vector<uint16_t> merged;
+            std::set_union(a.protocols.begin(), a.protocols.end(),
+                           t.astate.protocols.begin(), t.astate.protocols.end(),
+                           std::back_inserter(merged));
+            a.protocols = std::move(merged);
+            changed = true;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <set>
 
 #include "src/core/automata.h"
 #include "src/core/modules.h"
@@ -251,83 +250,18 @@ Engine* InstallProcessFirewall(sim::Kernel& kernel, EngineConfig config) {
   return raw;
 }
 
-const CompiledChain* CompiledRuleset::FindCompiled(const std::string& chain) const {
-  const Chain* c = rules.filter().Find(chain);
-  if (c == nullptr) {
-    return nullptr;
-  }
-  auto it = compiled.find(c);
-  return it == compiled.end() ? nullptr : &it->second;
-}
-
 namespace {
 
-// Pass 1 for one chain: per-(chain, op) dispatch buckets with each bucket's
-// own rules' context-mask union and purity, plus the distinct JUMP targets
-// the closure pass iterates. Shared by the full and the incremental compile
-// (which recomputes only dirty chains and copies the rest).
-void BuildChainBuckets(const Chain& chain, CompiledChain& cc) {
-  cc.op_mask = 0;
-  for (size_t op = 0; op < sim::kOpCount; ++op) {
-    OpBucket& b = cc.ops[op];
-    b = OpBucket{};
-    for (const auto& rule : chain.rules()) {
-      if (rule->op && static_cast<size_t>(*rule->op) != op) {
-        continue;  // the op precheck can never pass; drop at compile time
-      }
-      b.all.push_back(rule.get());
-      b.needs |= rule->needs;
-      b.cacheable = b.cacheable && rule->CacheableByKey();
-      if (chain.index_built() && rule->IndexableByEntrypoint()) {
-        b.has_indexed = true;
-      } else {
-        b.plain.push_back(rule.get());
-      }
-      const std::string& jump = rule->target->jump_chain();
-      if (!jump.empty()) {
-        b.jump_targets.push_back(jump);
-      }
-    }
-    std::sort(b.jump_targets.begin(), b.jump_targets.end());
-    b.jump_targets.erase(std::unique(b.jump_targets.begin(), b.jump_targets.end()),
-                         b.jump_targets.end());
-    b.base_needs = b.needs;
-    b.base_cacheable = b.cacheable;
-    if (!b.all.empty()) {
-      cc.op_mask |= 1ull << op;
-    }
-  }
-}
-
-// Pass 2: close needs/cacheable over JUMP edges to a monotone fixpoint.
-// Iteration (rather than DFS memoization) keeps mutually-recursive chains
-// correct: a bucket's final value folds every reachable rule, exactly the
-// set the depth-limited runtime can evaluate. The deduplicated edge lists
-// make one round O(edges), not O(rules).
-void CloseBucketPurity(Table& filter, std::map<const Chain*, CompiledChain>& compiled) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (auto& [chain_ptr, cc] : compiled) {
-      for (size_t op = 0; op < sim::kOpCount; ++op) {
-        OpBucket& b = cc.ops[op];
-        for (const std::string& jump : b.jump_targets) {
-          const Chain* next = filter.Find(jump);
-          if (next == nullptr) {
-            continue;
-          }
-          const OpBucket& nb = compiled[next].ops[op];
-          CtxMask needs = b.needs | nb.needs;
-          bool cacheable = b.cacheable && nb.cacheable;
-          if (needs != b.needs || cacheable != b.cacheable) {
-            b.needs = needs;
-            b.cacheable = cacheable;
-            changed = true;
-          }
-        }
-      }
-    }
-  }
+// Stamps the load-time verifier's verdict on a compiled generation.
+void RecordVerification(CompiledRuleset& snap, const VerifyOptions& opts) {
+  const auto t0 = std::chrono::steady_clock::now();
+  VerifyResult vr = VerifyProgram(snap.program, opts);
+  snap.verify_ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  snap.verified = vr.ok();
+  snap.verify_report = std::move(vr.report);
 }
 
 }  // namespace
@@ -335,48 +269,24 @@ void CloseBucketPurity(Table& filter, std::map<const Chain*, CompiledChain>& com
 std::shared_ptr<CompiledRuleset> Engine::CompileRuleset() const {
   auto snap = std::make_shared<CompiledRuleset>();
   snap->rules = ruleset_;  // shares the Rule objects, copies chain structure
-  snap->input = snap->rules.filter().Find("input");
-  snap->output = snap->rules.filter().Find("output");
-  snap->create = snap->rules.filter().Find("create");
-  snap->syscallbegin = snap->rules.filter().Find("syscallbegin");
 
   // --- commit-time compilation ---
-  // Pass 1: per-(chain, op) dispatch buckets.
-  Table& filter = snap->rules.filter();
-  for (auto& [name, chain] : filter.chains()) {
-    CompiledChain& cc = snap->compiled[&chain];
-    cc.chain = &chain;
-    BuildChainBuckets(chain, cc);
-  }
-  // Pass 2: transitive closure over JUMP edges.
-  CloseBucketPurity(filter, snap->compiled);
-  snap->cc_input = snap->FindCompiled("input");
-  snap->cc_output = snap->FindCompiled("output");
-  snap->cc_create = snap->FindCompiled("create");
-  snap->cc_syscallbegin = snap->FindCompiled("syscallbegin");
-  // Pass 3: lower the whole generation into the arena-packed program form
-  // (compile.cc) — re-points the buckets just built at entry-table slices.
+  // Pass 1: lower the whole generation into the arena-packed program form
+  // (compile.cc), building each chain's per-op buckets as it goes.
   LowerProgram(*snap);
-  // Pass 3.5: STATE-protocol automaton lowering (automata.cc). Gated so the
+  // Pass 2: STATE-protocol automaton lowering (automata.cc). Gated so the
   // NOAUTOMATA bench rung measures the baseline compile; with the pass off,
   // program.automata_built stays false and every consumer ignores the
   // astate fields.
   if (config_.automata) {
     BuildAutomata(*snap);
   }
+  // Pass 3: close every bucket's facts over its JUMP edges.
+  CloseBuckets(snap->program);
   // Pass 4: the load-time verifier (verify.h). The evaluator trusts every
   // arena fetch; this pass is where that trust is earned. CommitRuleset
   // refuses to publish on errors.
-  if (config_.verify_programs) {
-    const auto t0 = std::chrono::steady_clock::now();
-    VerifyResult vr = VerifyProgram(snap->program);
-    snap->verify_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    snap->verified = vr.ok();
-    snap->verify_report = std::move(vr.report);
-  }
+  RecordVerification(*snap, VerifyOptions());
   return snap;
 }
 
@@ -387,7 +297,7 @@ bool Engine::CanDeltaCompile(const CompiledRuleset& prev,
   }
   // Delta verification assumes the base program's untouched prefix was
   // proven when it published; never build on an unverified base.
-  if (config_.verify_programs && !prev.verified) {
+  if (!prev.verified) {
     return false;
   }
   // Compaction threshold: once half the arena is dead, relower from scratch
@@ -424,9 +334,7 @@ std::shared_ptr<CompiledRuleset> Engine::CompileRulesetDelta(
   // Recycle the retired generation's allocations when nothing still pins it:
   // the copy-assignments below then reuse its vector pages and its map/chain
   // nodes (libstdc++ recycles nodes on container copy-assignment) instead of
-  // faulting in a fresh ~40MB working set per commit. The compiled map and
-  // derived pointers are keyed by the previous generation's chain addresses,
-  // so they are cleared rather than reused.
+  // faulting in a fresh ~40MB working set per commit.
   std::shared_ptr<CompiledRuleset> snap;
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
@@ -438,72 +346,35 @@ std::shared_ptr<CompiledRuleset> Engine::CompileRulesetDelta(
   if (snap == nullptr) {
     snap = std::make_shared<CompiledRuleset>();
   } else {
-    snap->compiled.clear();
     snap->verify_report = analysis::AnalysisReport();
     snap->verified = false;
     snap->verify_ns = 0;
   }
   snap->rules = ruleset_;
-  snap->input = snap->rules.filter().Find("input");
-  snap->output = snap->rules.filter().Find("output");
-  snap->create = snap->rules.filter().Find("create");
-  snap->syscallbegin = snap->rules.filter().Find("syscallbegin");
 
-  Table& filter = snap->rules.filter();
-  std::set<std::string> dirty_set(dirty.begin(), dirty.end());
-  // Pass 1: recompute buckets for dirty chains; copy the clean chains' from
-  // the base generation. Rule objects are shared between generations, so a
-  // copied bucket's pointer lists stay valid; needs/cacheable reset to their
-  // chain-local base values because the closure (whose inputs may include a
-  // dirty chain) reruns from scratch.
-  for (auto& [name, chain] : filter.chains()) {
-    CompiledChain& cc = snap->compiled[&chain];
-    if (dirty_set.count(name) == 0) {
-      cc = prev.compiled.at(prev.rules.filter().Find(name));
-      cc.chain = &chain;
-      for (size_t op = 0; op < sim::kOpCount; ++op) {
-        cc.ops[op].needs = cc.ops[op].base_needs;
-        cc.ops[op].cacheable = cc.ops[op].base_cacheable;
-      }
-    } else {
-      cc.chain = &chain;
-      BuildChainBuckets(chain, cc);
-    }
-  }
-  CloseBucketPurity(filter, snap->compiled);
-  snap->cc_input = snap->FindCompiled("input");
-  snap->cc_output = snap->FindCompiled("output");
-  snap->cc_create = snap->FindCompiled("create");
-  snap->cc_syscallbegin = snap->FindCompiled("syscallbegin");
-  // Pass 3: splice — copy the base program, kill the dirty chains' records,
+  // Pass 1: splice — copy the base program, kill the dirty chains' records,
   // append their relowered bodies and tables (compile.cc).
   LowerProgramDelta(*snap, prev.program, dirty);
-  // Pass 3.5: delta automaton lowering — reclassifies only the dirty chains
+  // Pass 2: delta automaton lowering — reclassifies only the dirty chains
   // when their STATE facts are unchanged, full rebuild otherwise.
   if (config_.automata) {
     BuildAutomataDelta(*snap, dirty);
   }
+  // Pass 3: the closure reruns over every chain, so a clean chain that
+  // jumps into a dirty one picks up the dirty chain's new facts.
+  CloseBuckets(snap->program);
   // Pass 4: delta verification. The untouched prefix was proven when the
   // base generation published and the splice never rewrites it (dead
   // marking only clears RuleRecord::rule), so the verifier re-checks the
   // appended records, the rebuilt chains' dispatch tables, and the global
   // properties (arena alignment, jump-depth proof) that span generations.
-  if (config_.verify_programs) {
-    const auto t0 = std::chrono::steady_clock::now();
-    VerifyOptions opts;
-    opts.delta = true;
-    opts.from_record = static_cast<uint32_t>(prev.program.rules.size());
-    for (const std::string& name : dirty_set) {
-      opts.recheck_chains.push_back(snap->program.chain_ids.at(name));
-    }
-    VerifyResult vr = VerifyProgram(snap->program, opts);
-    snap->verify_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    snap->verified = vr.ok();
-    snap->verify_report = std::move(vr.report);
+  VerifyOptions opts;
+  opts.delta = true;
+  opts.from_record = static_cast<uint32_t>(prev.program.rules.size());
+  for (const std::string& name : dirty) {
+    opts.recheck_chains.push_back(snap->program.chain_ids.at(name));
   }
+  RecordVerification(*snap, opts);
   return snap;
 }
 
@@ -517,7 +388,7 @@ Status Engine::CommitRuleset() {
   const bool delta = prev != nullptr && CanDeltaCompile(*prev, &dirty);
   std::shared_ptr<CompiledRuleset> snap =
       delta ? CompileRulesetDelta(*prev, dirty) : CompileRuleset();
-  if (config_.verify_programs && !snap->verified) {
+  if (!snap->verified) {
     // Abort the publish: hook evaluation keeps serving the previous
     // generation, exactly as if the commit never happened. (The staging
     // RuleSet keeps the caller's edit — pftables rolls it back when it holds
@@ -975,14 +846,27 @@ Engine::Verdict Engine::EvalRule(const CompiledRuleset& rs, const Rule& rule, Pa
     case TargetKind::kReturn:
       return Verdict::kReturn;  // ends this chain; caller continues
     case TargetKind::kJump: {
-      const CompiledChain* next = rs.FindCompiled(rule.target->jump_chain());
-      if (next != nullptr && depth < kMaxChainDepth) {
-        Verdict v = TraverseChain(rs, *next, pkt, depth + 1);
+      const int32_t next = rs.program.FindChain(rule.target->jump_chain());
+      if (next >= 0 && depth < kMaxChainDepth) {
+        Verdict v = TraverseChain(rs, rs.program.chains[static_cast<size_t>(next)], pkt,
+                                  depth + 1);
         if (v == Verdict::kAccept || v == Verdict::kDrop) {
           return v;
         }
       }
       return Verdict::kFallthrough;
+    }
+  }
+  return Verdict::kFallthrough;
+}
+
+Engine::Verdict Engine::EvalSlice(const CompiledRuleset& rs, uint32_t off, uint32_t len,
+                                  Packet& pkt, int depth) {
+  const PfProgram& prog = rs.program;
+  for (uint32_t i = 0; i < len; ++i) {
+    Verdict v = EvalRule(rs, *prog.rules[prog.entries[off + i]].rule, pkt, depth);
+    if (v != Verdict::kFallthrough) {
+      return v;  // accept, drop, or RETURN to the calling chain
     }
   }
   return Verdict::kFallthrough;
@@ -994,32 +878,31 @@ Engine::Verdict Engine::EvalRules(const CompiledRuleset& rs,
   for (const Rule* rule : rules) {
     Verdict v = EvalRule(rs, *rule, pkt, depth);
     if (v != Verdict::kFallthrough) {
-      return v;  // accept, drop, or RETURN to the calling chain
+      return v;
     }
   }
   return Verdict::kFallthrough;
 }
 
-Engine::Verdict Engine::TraverseChain(const CompiledRuleset& rs, const CompiledChain& cc,
+Engine::Verdict Engine::TraverseChain(const CompiledRuleset& rs, const ProgramChain& pc,
                                       Packet& pkt, int depth) {
   if (depth >= kMaxChainDepth) {
     return Verdict::kFallthrough;
   }
-  const Chain& chain = *cc.chain;
-  const OpBucket& bucket = cc.ops[static_cast<size_t>(pkt.req->op)];
-  if (config_.ept_chains && chain.index_built()) {
+  const ProgramBucket& bucket = pc.ops[static_cast<size_t>(pkt.req->op)];
+  if (config_.ept_chains && pc.index_built) {
     // Non-entrypoint rules first (paper §4.3), then the hash-selected
     // entrypoint chain. The per-op bucket already excludes rules whose -o
     // operand cannot match.
-    Verdict v = EvalRules(rs, bucket.plain, pkt, depth);
+    Verdict v = EvalSlice(rs, bucket.plain_off, bucket.plain_len, pkt, depth);
     if (v != Verdict::kFallthrough) {
       return v;
     }
     if (bucket.has_indexed) {
       EnsureContext(pkt, CtxBit(Ctx::kEntrypoint));
       if (pkt.entrypoint_valid) {
-        const auto* rules =
-            chain.EptRules(EptKey{pkt.entrypoint.image, pkt.entrypoint.offset});
+        const auto* rules = rs.rules.filter().Find(pc.name)->EptRules(
+            EptKey{pkt.entrypoint.image, pkt.entrypoint.offset});
         if (rules != nullptr) {
           StatsLocal().ept_chain_hits.fetch_add(1, kRelaxed);
           return EvalRules(rs, *rules, pkt, depth);
@@ -1029,17 +912,17 @@ Engine::Verdict Engine::TraverseChain(const CompiledRuleset& rs, const CompiledC
     return Verdict::kFallthrough;
   }
   // Linear traversal of the op's bucket (chain order preserved).
-  return EvalRules(rs, bucket.all, pkt, depth);
+  return EvalSlice(rs, bucket.all_off, bucket.all_len, pkt, depth);
 }
 
 // Runs one builtin chain and applies its default policy on fallthrough.
-Engine::Verdict Engine::RunBuiltin(const CompiledRuleset& rs, const CompiledChain& cc,
+Engine::Verdict Engine::RunBuiltin(const CompiledRuleset& rs, const ProgramChain& pc,
                                    Packet& pkt) {
-  Verdict v = TraverseChain(rs, cc, pkt, 0);
+  Verdict v = TraverseChain(rs, pc, pkt, 0);
   if (v == Verdict::kReturn) {
     v = Verdict::kFallthrough;
   }
-  if (v == Verdict::kFallthrough && cc.chain->policy() == Chain::Policy::kDrop) {
+  if (v == Verdict::kFallthrough && pc.policy_drop) {
     v = Verdict::kDrop;
   }
   return v;
@@ -1200,27 +1083,31 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
   // with no rule that can match this op — when none remain, the default
   // allow costs neither a Packet nor any per-task state.
   const size_t op_index = static_cast<size_t>(req.op);
-  const CompiledChain* applicable[3];
+  const PfProgram& prog = rs.program;
+  const ProgramChain* applicable[3];
   size_t num_applicable = 0;
-  auto consider = [&](const CompiledChain* cc) {
-    if (cc != nullptr && (((cc->op_mask >> op_index) & 1) != 0 ||
-                          cc->chain->policy() == Chain::Policy::kDrop)) {
-      applicable[num_applicable++] = cc;
+  auto consider = [&](int32_t id) {
+    if (id < 0) {
+      return;
+    }
+    const ProgramChain& pc = prog.chains[static_cast<size_t>(id)];
+    if (((pc.op_mask >> op_index) & 1) != 0 || pc.policy_drop) {
+      applicable[num_applicable++] = &pc;
     }
   };
   if (req.op == sim::Op::kSyscallBegin) {
-    consider(rs.cc_syscallbegin);
+    consider(prog.root_syscallbegin);
   } else {
     // Creation operations consult the create chain first (template T2),
     // write-type operations additionally the output chain, then everything
     // falls through to input.
     if (IsCreateOp(req.op)) {
-      consider(rs.cc_create);
+      consider(prog.root_create);
     }
     if (IsOutputOp(req.op)) {
-      consider(rs.cc_output);
+      consider(prog.root_output);
     }
-    consider(rs.cc_input);
+    consider(prog.root_input);
   }
   if (num_applicable == 0) {
     return 0;  // fast-path allow: never traced (no Packet, no rule base work)
@@ -1297,7 +1184,7 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
   bool cacheable = config_.verdict_cache;
   CtxMask needs = 0;
   for (size_t i = 0; i < num_applicable; ++i) {
-    const OpBucket& bucket = applicable[i]->ops[op_index];
+    const ProgramBucket& bucket = applicable[i]->ops[op_index];
     cacheable = cacheable && bucket.cacheable;
     needs |= bucket.needs;
   }
@@ -1308,18 +1195,17 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
   uint64_t astate_fold = 0;
   std::vector<uint16_t> protocols;
   if (config_.verdict_cache && !cacheable) {
-    const bool automata_ok = config_.automata && rs.program.automata_built;
+    const bool automata_ok = config_.automata && prog.automata_built;
     bool admissible = automata_ok;
     for (size_t i = 0; i < num_applicable; ++i) {
-      const CompiledChain* cc = applicable[i];
-      if (cc->ops[op_index].cacheable) {
+      const ProgramBucket& pb = applicable[i]->ops[op_index];
+      if (pb.cacheable) {
         continue;  // pure bucket: contributes nothing stateful
       }
-      if (!automata_ok || cc->program_chain < 0) {
+      if (!automata_ok) {
         admissible = false;
         continue;
       }
-      const ProgramBucket& pb = rs.program.chains[cc->program_chain].ops[op_index];
       bypass_causes |= pb.astate.causes;
       if (pb.astate.causes != 0) {
         admissible = false;
@@ -1506,13 +1392,12 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
     }
     Verdict verdict = Verdict::kFallthrough;
     for (size_t i = 0; i < num_applicable && verdict == Verdict::kFallthrough; ++i) {
-      const CompiledChain* cc = applicable[i];
-      if (config_.compiled_eval && cc->program_chain >= 0) {
+      if (config_.compiled_eval) {
         path = trace::Path::kCompiled;
-        verdict = RunBuiltinCompiled(rs, rs.program.chains[cc->program_chain], pkt);
+        verdict = RunBuiltinCompiled(rs, *applicable[i], pkt);
       } else {
         path = trace::Path::kFull;
-        verdict = RunBuiltin(rs, *cc, pkt);
+        verdict = RunBuiltin(rs, *applicable[i], pkt);
       }
     }
     drop = verdict == Verdict::kDrop;

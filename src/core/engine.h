@@ -103,12 +103,6 @@ struct EngineConfig {
   // delta program is bit-equivalent to a from-scratch relower (churn test)
   // and is still verifier-gated before publication.
   bool incremental_commits = true;
-  // Run the load-time PfInsn verifier (src/core/verify.h) as a mandatory
-  // pass of CompileRuleset. A program with verification errors refuses to
-  // publish: CommitRuleset returns the report as a Status error and the live
-  // generation is left untouched. A pure gate for accepted programs
-  // (enforced by the VERIFY ablation rung).
-  bool verify_programs = true;
   // Audit mode: evaluate rules and count/log would-be denials, but allow
   // everything. This is how an OS distributor shakes out false positives
   // before enforcing a generated rule base (paper §6.3.2).
@@ -271,72 +265,26 @@ class TaskStateStore {
   std::array<Shard, kShards> shards_;
 };
 
-// Per-(chain, op) dispatch bucket, computed once per commit. `all` holds the
-// chain's rules that can match the op (rules whose -o operand is absent or
-// equal), in chain order; `plain` is the non-entrypoint-indexable subset used
-// when the chain's entrypoint index is active. `needs` and `cacheable` are
-// transitive over JUMP targets: the union of every reachable rule's context
-// mask, and whether every reachable rule is a pure function of the
-// verdict-cache key.
-struct OpBucket {
-  std::vector<const Rule*> all;
-  std::vector<const Rule*> plain;
-  CtxMask needs = 0;
-  bool cacheable = true;
-  bool has_indexed = false;  // some entrypoint-indexed rule can match the op
-  // Pre-closure (chain-local) values of needs/cacheable plus the distinct
-  // JUMP targets, captured in pass 1. The transitive-closure fixpoint (pass
-  // 2) iterates these edges instead of every rule, and an incremental commit
-  // resets a copied bucket to the base values before re-running the closure.
-  CtxMask base_needs = 0;
-  bool base_cacheable = true;
-  std::vector<std::string> jump_targets;
-};
-
-// A chain plus its per-op dispatch table. `op_mask` bit i is set when
-// ops[i].all is non-empty, so Authorize can skip a whole chain with one
-// bit test.
-struct CompiledChain {
-  const Chain* chain = nullptr;
-  uint64_t op_mask = 0;
-  std::array<OpBucket, sim::kOpCount> ops;
-  int32_t program_chain = -1;  // id of this chain in CompiledRuleset::program
-};
-
 // One published generation of the rule base: a structural copy of the
-// staging RuleSet (sharing the heap-allocated Rule objects) with the builtin
-// chains resolved once and the commit-time compilation results (per-op
-// dispatch tables, transitive purity) attached.
+// staging RuleSet (sharing the heap-allocated Rule objects) plus its
+// arena-packed program, whose per-(chain, op) buckets are the only dispatch
+// tables hook evaluation reads.
 struct CompiledRuleset {
   RuleSet rules;
   uint64_t generation = 0;
-  const Chain* input = nullptr;
-  const Chain* output = nullptr;
-  const Chain* create = nullptr;
-  const Chain* syscallbegin = nullptr;
-
-  // Compilation results for every filter-table chain, keyed by the chain
-  // object inside `rules` (std::map gives the chains stable addresses).
-  std::map<const Chain*, CompiledChain> compiled;
-  const CompiledChain* cc_input = nullptr;
-  const CompiledChain* cc_output = nullptr;
-  const CompiledChain* cc_create = nullptr;
-  const CompiledChain* cc_syscallbegin = nullptr;
 
   // The arena-packed program form of the same generation (see program.h):
-  // lowered by LowerProgram at the end of compilation, consumed by the
-  // compiled evaluator, the static analyzer, and `pftables -L --compiled`.
+  // lowered by LowerProgram during compilation, consumed by both evaluators,
+  // the static analyzer, and `pftables -L --compiled`.
   PfProgram program;
 
-  // Load-time verification of `program` (src/core/verify.h), run by
-  // CompileRuleset when EngineConfig::verify_programs is on. `verified` is
-  // true iff the pass ran and proved the program safe; CommitRuleset refuses
-  // to publish otherwise. pfcheck and pftables --check surface the report.
+  // Load-time verification of `program` (src/core/verify.h), a mandatory
+  // pass of CompileRuleset. `verified` is true iff the pass proved the
+  // program safe; CommitRuleset refuses to publish otherwise. pfcheck and
+  // pftables --check surface the report.
   analysis::AnalysisReport verify_report;
   bool verified = false;
   uint64_t verify_ns = 0;
-
-  const CompiledChain* FindCompiled(const std::string& chain) const;
 };
 
 // Verdict-cache key: every input a *pure* traversal can read. The ruleset
@@ -539,8 +487,8 @@ class Engine : public sim::SecurityModule {
   // Publishes the staging rule base as a new immutable generation. Called by
   // Pftables after every successful mutating command; safe to call while
   // worker threads evaluate. When the load-time verifier rejects the
-  // compiled program (verify_programs on), nothing is published — the live
-  // generation keeps serving and the error carries the verifier's report.
+  // compiled program, nothing is published — the live generation keeps
+  // serving and the error carries the verifier's report.
   Status CommitRuleset();
 
   // Compiles the staging rule base into a CompiledRuleset snapshot without
@@ -601,9 +549,15 @@ class Engine : public sim::SecurityModule {
 
   EngineStatsBlock& StatsLocal();
 
-  Verdict RunBuiltin(const CompiledRuleset& rs, const CompiledChain& cc, Packet& pkt);
-  Verdict TraverseChain(const CompiledRuleset& rs, const CompiledChain& cc, Packet& pkt,
+  // The legacy tree walker: the reference the compiled evaluator is diffed
+  // against. It walks the same program buckets but evaluates each rule
+  // through its Rule object, and keeps its own entrypoint index
+  // (Chain::EptRules) rather than ProgramChain::ept.
+  Verdict RunBuiltin(const CompiledRuleset& rs, const ProgramChain& pc, Packet& pkt);
+  Verdict TraverseChain(const CompiledRuleset& rs, const ProgramChain& pc, Packet& pkt,
                         int depth);
+  Verdict EvalSlice(const CompiledRuleset& rs, uint32_t off, uint32_t len, Packet& pkt,
+                    int depth);
   Verdict EvalRules(const CompiledRuleset& rs, const std::vector<const Rule*>& rules,
                     Packet& pkt, int depth);
   Verdict EvalRule(const CompiledRuleset& rs, const Rule& rule, Packet& pkt, int depth);

@@ -229,8 +229,7 @@ struct AutomatonProtocol {
 // it off the stateful cache tier (0 = every reachable rule is pure or
 // automaton-lowered), which extra request fields must join the VerdictKey,
 // and the sorted protocol ids whose state the bucket's rules read or write.
-// All three are transitively closed over JUMP edges, mirroring OpBucket's
-// purity closure.
+// All three are transitively closed over JUMP edges by CloseBuckets.
 struct BucketAutomata {
   uint8_t causes = 0;
   bool nr_in_key = false;   // syscall-number guard: req.syscall_nr joins key
@@ -249,27 +248,36 @@ struct ChainStateFacts {
   bool operator==(const ChainStateFacts&) const = default;
 };
 
-// Per-(chain, op) dispatch bucket, the program-form twin of OpBucket
-// (engine.h) with the rule pointers re-pointed at entry-table slices.
+// Per-(chain, op) dispatch bucket, built at lowering straight from the
+// chain's rule list: `all` holds the rules that can match the op (no -o
+// operand, or an equal one) in chain order, `plain` the subset the
+// entrypoint index does not cover, both as entry-table slices. Each fact
+// Authorize reads to pick a verdict-cache tier comes in two forms — the
+// value folded from the bucket's own rules (base_needs, base_cacheable,
+// astate_base) and the value CloseBuckets closes over `jumps`, folding every
+// bucket the op can reach (needs, cacheable, astate).
 struct ProgramBucket {
   uint32_t all_off = 0;    // slice of PfProgram::entries: every rule that
   uint32_t all_len = 0;    //   can match the op, in chain order
   uint32_t plain_off = 0;  // the non-entrypoint-indexed subset
   uint32_t plain_len = 0;
+  bool has_indexed = false;  // some entrypoint-indexed rule can match the op
+  CtxMask base_needs = 0;
+  bool base_cacheable = true;
+  // Closed: the union of every reachable rule's context mask, and whether
+  // every reachable rule is a pure function of the verdict-cache key.
   CtxMask needs = 0;
   bool cacheable = true;
-  bool has_indexed = false;
-  // Automaton classification (valid when PfProgram::automata_built):
-  // `astate_base` from the bucket's own rules, `astate` after the JUMP-edge
-  // closure. A bucket with astate.causes == 0 is *state-cacheable*: its
-  // verdict is a pure function of the VerdictKey extended with the listed
-  // protocols' automaton state (and nr/sig fields), so Authorize may serve
-  // it from the verdict cache instead of bypassing.
+  // Automaton classification (valid when PfProgram::automata_built). A
+  // bucket with astate.causes == 0 is *state-cacheable*: its verdict is a
+  // pure function of the VerdictKey extended with the listed protocols'
+  // automaton state (and nr/sig fields), so Authorize may serve it from the
+  // verdict cache instead of bypassing.
   BucketAutomata astate_base;
   BucketAutomata astate;
-  // Distinct JUMP-target chain ids of this bucket's rules, collected with
-  // the base classification so the closure never rescans rule bodies.
-  std::vector<int32_t> astate_jumps;
+  // Distinct resolved JUMP-target chain ids of the bucket's rules: the
+  // edges the closure iterates, so it never rescans rule bodies.
+  std::vector<int32_t> jumps;
 };
 
 // Entrypoint index of one lowered chain: key -> an entry-table slice.
@@ -420,9 +428,9 @@ class ProgramBuilder {
 struct CompiledRuleset;  // engine.h
 
 // The commit-time lowering pass (compile.cc): flattens every filter-table
-// chain of `snap` into snap.program and re-points the per-(chain,op)
-// buckets and entrypoint index at arena/entry-table offsets. Requires the
-// OpBucket compilation (Engine::CompileRuleset passes 1-2) to have run.
+// chain of `snap` into snap.program and builds each chain's per-op buckets
+// (with their own-rule facts and JUMP edges) and entrypoint index as
+// entry-table slices.
 void LowerProgram(CompiledRuleset& snap);
 
 // Incremental lowering: copy `prev`'s program (arena, pools, tables, intern
@@ -432,6 +440,14 @@ void LowerProgram(CompiledRuleset& snap);
 // falls back to LowerProgram otherwise).
 void LowerProgramDelta(CompiledRuleset& snap, const PfProgram& prev,
                        const std::vector<std::string>& dirty);
+
+// Closes every bucket's facts over its JUMP edges to a monotone fixpoint:
+// `needs`, `cacheable` and — when the automaton pass ran — `astate` restart
+// from the bucket's own values and fold in every bucket the op can reach.
+// Runs after lowering (and the automaton pass) on every full and delta
+// commit, so a clean chain that jumps into an edited one never keeps its
+// pre-edit facts.
+void CloseBuckets(PfProgram& prog);
 
 // Renders the program as deterministic, pool-resolved assembly (the
 // `pftables -L --compiled` listing). Interned content is printed by value

@@ -477,9 +477,9 @@ struct Verifier {
             }
           }
         }
-        for (int32_t jid : b.astate_jumps) {
+        for (int32_t jid : b.jumps) {
           if (jid < 0 || static_cast<uint64_t>(jid) >= nchains) {
-            continue;  // unresolved jump: closure already treats it as bypass
+            continue;  // not a chain id: no target bucket to compare
           }
           const ProgramBucket& t = prog.chains[static_cast<size_t>(jid)].ops[op];
           if ((t.astate.causes & ~b.astate.causes) != 0) {
@@ -506,9 +506,21 @@ struct Verifier {
   // depth >= kMaxChainDepth, so a chain whose *minimum* depth breaks the
   // bound is provably dead (every path to it is cut off). The runtime is
   // safe either way — this is a reachability property, hence a warning
-  // unless strict_depth.
+  // unless strict_depth. A chain's edges are the union of its buckets'
+  // deduplicated `jumps` lists (every live rule sits in some op bucket), so
+  // the proof costs O(edges), not O(rules), and a delta commit at 100k rules
+  // does not rescan every record for it.
   void CheckDepth() {
     const size_t n = prog.chains.size();
+    const auto for_each_edge = [&](size_t id, auto&& visit) {
+      for (const ProgramBucket& b : prog.chains[id].ops) {
+        for (int32_t target : b.jumps) {
+          if (target >= 0 && static_cast<size_t>(target) < n) {
+            visit(static_cast<size_t>(target));
+          }
+        }
+      }
+    };
     std::vector<int> min_depth(n, -1);
     std::deque<size_t> queue;
     for (int32_t root :
@@ -525,29 +537,19 @@ struct Verifier {
       if (next_depth >= kMaxChainDepth) {
         continue;  // the runtime guard cuts deeper entries off
       }
-      for (uint32_t r : prog.chains[id].rules) {
-        if (r >= prog.rules.size()) {
-          continue;  // already reported by CheckChainTables
+      for_each_edge(id, [&](size_t target) {
+        if (min_depth[target] < 0) {
+          min_depth[target] = next_depth;
+          queue.push_back(target);
         }
-        const int32_t target = prog.rules[r].jump_chain;
-        if (target >= 0 && static_cast<size_t>(target) < n &&
-            min_depth[static_cast<size_t>(target)] < 0) {
-          min_depth[static_cast<size_t>(target)] = next_depth;
-          queue.push_back(static_cast<size_t>(target));
-        }
-      }
+      });
     }
     // Chains that are jumped to but whose every entry path exceeds the bound.
     // Chains nothing references at all are a style question (the analyzer's
     // jump-graph pass covers them), not a depth finding.
     std::vector<bool> referenced(n, false);
-    for (const RuleRecord& rec : prog.rules) {
-      if (rec.rule == nullptr) {
-        continue;  // dead record: its JUMP edge left the program
-      }
-      if (rec.jump_chain >= 0 && static_cast<size_t>(rec.jump_chain) < n) {
-        referenced[static_cast<size_t>(rec.jump_chain)] = true;
-      }
+    for (size_t id = 0; id < n; ++id) {
+      for_each_edge(id, [&](size_t target) { referenced[target] = true; });
     }
     for (size_t id = 0; id < n; ++id) {
       if (min_depth[id] < 0 && referenced[id]) {

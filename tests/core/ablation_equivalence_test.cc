@@ -27,23 +27,20 @@ constexpr int kTasks = 3;
 constexpr uint64_t kWorkloadSeed = 0xab1a7e5eedull;
 
 EngineConfig MakeConfig(bool lazy, bool cache, bool ept, bool compiled = false,
-                        bool vcache = false, bool verify = true, bool automata = true) {
+                        bool vcache = false, bool automata = true) {
   EngineConfig cfg;
   cfg.lazy_context = lazy;
   cfg.cache_context = cache;
   cfg.ept_chains = ept;
   cfg.compiled_eval = compiled;
   cfg.verdict_cache = vcache;
-  cfg.verify_programs = verify;
   cfg.automata = automata;
   return cfg;
 }
 
 // The Table-6 ablation ladder (the lower rungs pin compiled_eval and
 // verdict_cache off so each rung isolates exactly one optimization). The
-// VERIFY rung turns the load-time verifier off on the top configuration:
-// for accepted programs the verifier must be a pure gate, changing nothing
-// the evaluator does. The TRACE rung re-runs the top configuration with
+// TRACE rung re-runs the top configuration with
 // every tracepoint stream enabled: observability must be a pure observer —
 // verdicts, STATE dicts, and the decision counters all stay byte-identical.
 // The AUTOMATA rung re-runs the verdict-cache configuration with
@@ -67,9 +64,7 @@ const struct {
     {"EPTSPC", MakeConfig(true, true, true)},
     {"COMPILED", MakeConfig(true, true, true, true)},
     {"VCACHE", MakeConfig(true, true, true, true, true)},
-    {"AUTOMATA", MakeConfig(true, true, true, true, true, /*verify=*/true,
-                            /*automata=*/false)},
-    {"VERIFY", MakeConfig(true, true, true, true, true, /*verify=*/false)},
+    {"AUTOMATA", MakeConfig(true, true, true, true, true, /*automata=*/false)},
     {"TRACE", MakeConfig(true, true, true, true, true), true},
     {"AUDIT", MakeConfig(true, true, true, true, true), false, true},
 };
@@ -305,7 +300,7 @@ TEST(AblationEquivalenceTest, AutomataLoweringPreservesHitCountersAndRemovesBypa
                          std::vector<std::map<std::string, int64_t>>* dicts,
                          EngineStats* stats) {
     const EngineConfig cfg =
-        MakeConfig(true, true, true, true, true, /*verify=*/true, automata);
+        MakeConfig(true, true, true, true, true, automata);
     std::vector<int64_t> verdicts = Replay(cfg, dicts);
     // Replay tears the workload down, so run it again inline to read hit
     // counters off the live ruleset.

@@ -112,31 +112,76 @@ TEST_F(CompiledProgramTest, BucketsRePointAtEntrySlices) {
   ASSERT_TRUE(pft_.ExecAll(RepresentativeRules()).ok());
   auto snap = engine_->CompileRuleset();
   const PfProgram& prog = snap->program;
-  ASSERT_EQ(prog.chains.size(), snap->compiled.size());
+  const Table& filter = snap->rules.filter();
+  ASSERT_EQ(prog.chains.size(), filter.chains().size());
+  const auto rule_at = [&prog](uint32_t off, size_t i) {
+    return prog.rules[prog.entries[off + i]].rule;
+  };
 
-  for (const auto& [chain, cc] : snap->compiled) {
-    ASSERT_GE(cc.program_chain, 0) << chain->name();
-    const ProgramChain& pc = prog.chains[static_cast<size_t>(cc.program_chain)];
-    EXPECT_EQ(pc.name, chain->name());
-    EXPECT_EQ(pc.op_mask, cc.op_mask);
+  // Every bucket is checked against a direct op filter of the chain's own
+  // rule list: the slices resolve to exactly those rules in chain order, and
+  // the own-rule facts fold exactly those rules.
+  bool saw_indexed = false;
+  for (const auto& [name, chain] : filter.chains()) {
+    const int32_t id = prog.FindChain(name);
+    ASSERT_GE(id, 0) << name;
+    const ProgramChain& pc = prog.chains[static_cast<size_t>(id)];
+    uint64_t op_mask = 0;
     for (size_t op = 0; op < sim::kOpCount; ++op) {
-      const OpBucket& ob = cc.ops[op];
-      const ProgramBucket& pb = pc.ops[op];
-      ASSERT_EQ(pb.all_len, ob.all.size());
-      ASSERT_EQ(pb.plain_len, ob.plain.size());
-      EXPECT_EQ(pb.needs, ob.needs);
-      EXPECT_EQ(pb.cacheable, ob.cacheable);
-      EXPECT_EQ(pb.has_indexed, ob.has_indexed);
-      // The entry-table slice resolves to exactly the bucket's rules, in
-      // bucket order.
-      for (size_t i = 0; i < ob.all.size(); ++i) {
-        EXPECT_EQ(prog.rules[prog.entries[pb.all_off + i]].rule, ob.all[i]);
+      std::vector<const Rule*> all;
+      std::vector<const Rule*> plain;
+      CtxMask needs = 0;
+      bool cacheable = true;
+      bool has_indexed = false;
+      for (const auto& rule : chain.rules()) {
+        if (rule->op && static_cast<size_t>(*rule->op) != op) {
+          continue;
+        }
+        all.push_back(rule.get());
+        needs |= rule->needs;
+        cacheable = cacheable && rule->CacheableByKey();
+        if (chain.index_built() && rule->IndexableByEntrypoint()) {
+          has_indexed = true;
+        } else {
+          plain.push_back(rule.get());
+        }
       }
-      for (size_t i = 0; i < ob.plain.size(); ++i) {
-        EXPECT_EQ(prog.rules[prog.entries[pb.plain_off + i]].rule, ob.plain[i]);
+      op_mask |= all.empty() ? 0 : 1ull << op;
+      saw_indexed = saw_indexed || has_indexed;
+      const ProgramBucket& pb = pc.ops[op];
+      ASSERT_EQ(pb.all_len, all.size()) << name << " op " << op;
+      ASSERT_EQ(pb.plain_len, plain.size()) << name << " op " << op;
+      for (size_t i = 0; i < all.size(); ++i) {
+        EXPECT_EQ(rule_at(pb.all_off, i), all[i]) << name << " op " << op;
+      }
+      for (size_t i = 0; i < plain.size(); ++i) {
+        EXPECT_EQ(rule_at(pb.plain_off, i), plain[i]) << name << " op " << op;
+      }
+      EXPECT_EQ(pb.has_indexed, has_indexed) << name << " op " << op;
+      EXPECT_EQ(pb.base_needs, needs) << name << " op " << op;
+      EXPECT_EQ(pb.base_cacheable, cacheable) << name << " op " << op;
+      // The closed facts cover the bucket's own and every JUMP target's.
+      EXPECT_EQ(pb.needs & needs, needs) << name << " op " << op;
+      EXPECT_TRUE(cacheable || !pb.cacheable) << name << " op " << op;
+      for (int32_t target : pb.jumps) {
+        const ProgramBucket& tb = prog.chains[static_cast<size_t>(target)].ops[op];
+        EXPECT_EQ(pb.needs & tb.needs, tb.needs) << name << " op " << op;
+        EXPECT_TRUE(tb.cacheable || !pb.cacheable) << name << " op " << op;
       }
     }
+    EXPECT_EQ(pc.op_mask, op_mask) << name;
   }
+  EXPECT_TRUE(saw_indexed);  // the rule base exercises the plain/indexed split
+
+  // input JUMPs to guard, whose STATE guard matches every op: input's
+  // getattr bucket is pure on its own rules but not once closed.
+  const ProgramBucket& getattr =
+      prog.chains[static_cast<size_t>(prog.FindChain("input"))]
+          .ops[static_cast<size_t>(sim::Op::kFileGetattr)];
+  EXPECT_TRUE(getattr.base_cacheable);
+  EXPECT_FALSE(getattr.cacheable);
+  ASSERT_EQ(getattr.jumps.size(), 1u);
+  EXPECT_EQ(getattr.jumps[0], prog.FindChain("guard"));
 }
 
 TEST_F(CompiledProgramTest, RuleBodiesAreContiguousAlignedRecords) {

@@ -7,9 +7,14 @@
 // After every single edit the published program E actually executes (built by
 // LowerProgramDelta splicing into a copy of the previous generation) must
 // disassemble byte-identically to F's from-scratch relower of the same rule
-// base. After the full script a seeded operation stream must produce
-// bit-identical verdicts, STATE dictionaries, LOG records, List() renderings
-// (per-rule eval/hit counters), and engine statistics between E and F.
+// base, and every (chain, op) bucket must carry the same closed facts
+// (needs, cacheable, has_indexed, automaton classification) that Authorize
+// reads to pick a cache tier. After the full script a seeded operation stream
+// must produce bit-identical verdicts, STATE dictionaries, LOG records, List()
+// renderings (per-rule eval/hit counters), and engine statistics between E
+// and F — once with the verdict cache off, so traversal differences show,
+// and once with it on, so the delta closure's purity result is checked end
+// to end through the hit/miss/bypass split.
 //
 // Seeds cycle through every fuzz generator flavor (fuzz_rules.h), so the
 // delta path is exercised over state protocols, native escapes, deep JUMP
@@ -105,6 +110,7 @@ struct RunResult {
 
 RunResult Replay(System& sys, uint64_t seed) {
   RunResult out;
+  sys.engine->ResetStats();
   const char* kPaths[] = {"/etc/passwd", "/etc/shadow", "/tmp/t", "/bin/true"};
   std::mt19937_64 rng(seed ^ 0x0bdeadbeefULL);
   out.verdicts.reserve(kOps);
@@ -169,6 +175,53 @@ RunResult Replay(System& sys, uint64_t seed) {
   return out;
 }
 
+// The per-(chain, op) facts Authorize reads off the published program to
+// choose between the pure, stateful and bypass cache tiers. A delta commit
+// copies the clean chains' buckets from the previous generation, so a
+// closure that skipped them would leave a clean chain that JUMPs into an
+// edited one with its pre-edit facts — a LOG or STATE bucket served as pure.
+void ExpectSameBucketFacts(const PfProgram& pe, const PfProgram& pf,
+                           const std::string& where) {
+  ASSERT_EQ(pe.chains.size(), pf.chains.size()) << where;
+  ASSERT_EQ(pe.automata_built, pf.automata_built) << where;
+  size_t mismatches = 0;
+  std::string first;
+  const auto note = [&](const std::string& what) {
+    if (mismatches++ == 0) {
+      first = what;
+    }
+  };
+  for (size_t id = 0; id < pe.chains.size(); ++id) {
+    const ProgramChain& ce = pe.chains[id];
+    const ProgramChain& cf = pf.chains[id];
+    ASSERT_EQ(ce.name, cf.name) << where;
+    if (ce.op_mask != cf.op_mask) {
+      note("chain " + ce.name + " op_mask");
+    }
+    for (size_t op = 0; op < sim::kOpCount; ++op) {
+      const ProgramBucket& be = ce.ops[op];
+      const ProgramBucket& bf = cf.ops[op];
+      const std::string at =
+          "chain " + ce.name + " op " + std::string(sim::OpName(static_cast<sim::Op>(op)));
+      if (be.needs != bf.needs) {
+        note(at + " needs " + std::to_string(be.needs) + " vs " + std::to_string(bf.needs));
+      }
+      if (be.cacheable != bf.cacheable) {
+        note(at + " cacheable " + std::to_string(be.cacheable) + " vs " +
+             std::to_string(bf.cacheable));
+      }
+      if (be.has_indexed != bf.has_indexed) {
+        note(at + " has_indexed");
+      }
+      if (!(be.astate == bf.astate)) {
+        note(at + " astate");
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << where << ": delta bucket facts differ from the scratch "
+                            << "relower, first: " << first;
+}
+
 // Builds the next edit command as a pure function of the rng and the current
 // (shared) rule-base shape, read from `shape_engine`. `pool` supplies
 // flavor-appropriate append commands harvested from the fuzz generators.
@@ -211,7 +264,7 @@ std::string NextEdit(std::mt19937_64& rng, Engine& shape_engine,
   return "pftables -F " + chain;
 }
 
-void RunChurn(uint64_t seed) {
+void RunChurn(uint64_t seed, uint64_t* cache_decisions) {
   const std::string tag = "seed=0x" + [&] {
     char b[32];
     std::snprintf(b, sizeof(b), "%llx", static_cast<unsigned long long>(seed));
@@ -261,6 +314,12 @@ void RunChurn(uint64_t seed) {
     ASSERT_EQ(e.PublishedDisassembly(), f.PublishedDisassembly())
         << tag << ": delta-built program diverged from scratch relower after step "
         << step << ": " << cmd;
+    ExpectSameBucketFacts(e.engine->PublishedRuleset()->program,
+                          f.engine->PublishedRuleset()->program,
+                          tag + " step " + std::to_string(step) + " (" + cmd + ")");
+    if (::testing::Test::HasFailure()) {
+      return;
+    }
     ASSERT_EQ(e.pft->Save(), f.pft->Save()) << tag << " step " << step;
   }
 
@@ -283,15 +342,38 @@ void RunChurn(uint64_t seed) {
   EXPECT_EQ(re.stats.drops, rf.stats.drops) << tag;
   EXPECT_EQ(re.stats.rules_evaluated, rf.stats.rules_evaluated) << tag;
   EXPECT_EQ(re.stats.ctx_fetches, rf.stats.ctx_fetches) << tag;
+
+  // Replay again with the verdict cache on: which decisions hit, miss or
+  // bypass (and why) follows from the closed bucket facts, so E and F must
+  // split the stream identically.
+  for (System* sys : {&e, &f}) {
+    sys->engine->config().verdict_cache = true;
+  }
+  RunResult ce = Replay(e, seed ^ 0xcac4eULL);
+  RunResult cf = Replay(f, seed ^ 0xcac4eULL);
+  ASSERT_EQ(ce.verdicts, cf.verdicts) << tag << ": E vs F verdicts (cache on)";
+  EXPECT_EQ(ce.dicts, cf.dicts) << tag << ": E vs F STATE dicts (cache on)";
+  EXPECT_EQ(ce.hits, cf.hits) << tag << " (cache on)";
+  EXPECT_EQ(ce.stats.vcache_hits, cf.stats.vcache_hits) << tag;
+  EXPECT_EQ(ce.stats.vcache_misses, cf.stats.vcache_misses) << tag;
+  EXPECT_EQ(ce.stats.vcache_bypasses, cf.stats.vcache_bypasses) << tag;
+  EXPECT_EQ(ce.stats.vcache_state_hits, cf.stats.vcache_state_hits) << tag;
+  EXPECT_EQ(ce.stats.vcache_bypass_causes, cf.stats.vcache_bypass_causes) << tag;
+  *cache_decisions += ce.stats.vcache_hits + ce.stats.vcache_misses + ce.stats.vcache_bypasses;
 }
 
 TEST(IncrementalCommitChurnTest, DeltaCommitsAreBitEquivalentAcrossSeeds) {
+  uint64_t cache_decisions = 0;
   for (int i = 0; i < kSeedCount; ++i) {
-    RunChurn(kSeedBase + static_cast<uint64_t>(i));
+    RunChurn(kSeedBase + static_cast<uint64_t>(i), &cache_decisions);
     if (::testing::Test::HasFailure()) {
       return;  // first divergence wins; later seeds would bury the report
     }
   }
+  // Some seeds end with no rule applicable to the replayed ops (every
+  // decision is the fast-path allow); across all of them the cache-on
+  // replay must have gone through the cache.
+  EXPECT_GT(cache_decisions, static_cast<uint64_t>(kOps));
 }
 
 // A long alternating append/delete run on one chain: generations churn with
