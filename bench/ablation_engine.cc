@@ -31,10 +31,8 @@ struct EngineFixture {
     }
     sys.engine->config().ept_chains = indexed;
     // Off by default so each ablation measures its own mechanism; the
-    // BM_AuthorizeVerdictCache benchmarks opt back in, and the
-    // BM_AuthorizeCompiled* benchmarks re-enable the program evaluator.
+    // BM_AuthorizeVerdictCache benchmarks opt back in.
     sys.engine->config().verdict_cache = false;
-    sys.engine->config().compiled_eval = false;
     task.pid = 77;
     task.comm = "bench";
     task.exe = sim::kBinTrue;
@@ -63,38 +61,12 @@ struct EngineFixture {
   std::shared_ptr<sim::Inode> keep_alive_;
 };
 
-void BM_AuthorizeLinearScan(benchmark::State& state) {
-  EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
-                   /*indexed=*/false);
-  sim::AccessRequest req = fx.OpenRequest();
-  for (auto _ : state) {
-    ++fx.task.syscall_count;  // new syscall: invalidates the context cache
-    benchmark::DoNotOptimize(fx.sys.engine->Authorize(req));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AuthorizeLinearScan)->Arg(16)->Arg(128)->Arg(512)->Arg(1218)->Arg(2048);
-
-void BM_AuthorizeIndexedChains(benchmark::State& state) {
-  EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
-                   /*indexed=*/true);
-  sim::AccessRequest req = fx.OpenRequest();
-  for (auto _ : state) {
-    ++fx.task.syscall_count;
-    benchmark::DoNotOptimize(fx.sys.engine->Authorize(req));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AuthorizeIndexedChains)->Arg(16)->Arg(128)->Arg(512)->Arg(1218)->Arg(2048);
-
-// The arena-program evaluator against the legacy tree walker, on the same
-// cache-miss Authorize path (verdict cache off, fresh syscall every
-// iteration). Compare against BM_AuthorizeLinearScan / BM_AuthorizeIndexedChains
-// at equal rule counts: the delta is pure dispatch cost.
+// The cache-miss Authorize path (verdict cache off, fresh syscall every
+// iteration) with the entrypoint index off: every rule of the op's bucket is
+// evaluated, so latency grows linearly in the rule count.
 void BM_AuthorizeCompiledScan(benchmark::State& state) {
   EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
                    /*indexed=*/false);
-  fx.sys.engine->config().compiled_eval = true;
   sim::AccessRequest req = fx.OpenRequest();
   for (auto _ : state) {
     ++fx.task.syscall_count;
@@ -121,7 +93,6 @@ BENCHMARK(BM_AuthorizeCompiledScan)
 void BM_AuthorizeCompiledIndexed(benchmark::State& state) {
   EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
                    /*indexed=*/true);
-  fx.sys.engine->config().compiled_eval = true;
   sim::AccessRequest req = fx.OpenRequest();
   for (auto _ : state) {
     ++fx.task.syscall_count;
@@ -147,7 +118,6 @@ BENCHMARK(BM_AuthorizeCompiledIndexed)
 void BM_AuthorizeCompiledTraced(benchmark::State& state) {
   EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
                    /*indexed=*/true);
-  fx.sys.engine->config().compiled_eval = true;
   fx.sys.engine->trace().Enable();
   sim::AccessRequest req = fx.OpenRequest();
   for (auto _ : state) {
@@ -172,7 +142,6 @@ BENCHMARK(BM_AuthorizeCompiledTraced)->Arg(16)->Arg(128)->Arg(512)->Arg(1218)->A
 void BM_AuthorizeCompiledAudited(benchmark::State& state) {
   EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
                    /*indexed=*/true);
-  fx.sys.engine->config().compiled_eval = true;
   audit::AuditHub::Config acfg;
   acfg.bucket_capacity = 0;
   fx.sys.engine->audit().Enable(acfg);

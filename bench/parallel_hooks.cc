@@ -211,13 +211,10 @@ int Main(int argc, char** argv) {
     core::EngineConfig cfg;
   };
   std::vector<NamedConfig> configs;
-  core::EngineConfig vcache;  // defaults: lazy+cache+ept+compiled+verdict cache on
+  core::EngineConfig vcache;  // defaults: lazy+cache+ept+verdict cache on
   configs.push_back({"VCACHE", vcache});
-  core::EngineConfig compiled = vcache;
-  compiled.verdict_cache = false;
-  configs.push_back({"COMPILED", compiled});
-  core::EngineConfig eptspc = compiled;
-  eptspc.compiled_eval = false;  // legacy tree walker from here down
+  core::EngineConfig eptspc = vcache;
+  eptspc.verdict_cache = false;
   configs.push_back({"EPTSPC", eptspc});
   if (all_configs) {
     core::EngineConfig full = eptspc;

@@ -1,13 +1,19 @@
 #!/usr/bin/env sh
-# Runs the engine-focused benchmarks and folds their machine-readable
-# outputs into one BENCH_engine.json:
+# Runs the engine-focused benchmarks and appends their machine-readable
+# outputs as one record to BENCH_engine.json, the per-commit trajectory:
 #
 #   table6_lmbench   us/op for every (syscall, config) cell, incl. VCACHE
 #   table7_macro     macro means + PF Full verdict-cache hit/miss/bypass
 #   ablation_engine  BM_AuthorizeVerdictCache* (ns/op + rate counters),
-#                    legacy walker vs compiled evaluator,
+#                    scan vs indexed evaluator latency over rule-base size,
 #                    BM_CompileProgram + BM_VerifyProgram (commit-time costs)
 #   pfcheck          static-analyzer wall time over the shipped rule base
+#
+# The output file is a JSON list of records, oldest first. Each record is
+# keyed by "commit" (the short hash of HEAD) and "dirty" (true when tracked
+# files had uncommitted changes, i.e. the numbers describe HEAD plus the
+# working tree). A rerun with the same key replaces that record; any other
+# run appends.
 #
 # Usage: bench/run_bench.sh [build-dir] [output.json]
 # (run from the repository root; build the default preset first:
@@ -24,16 +30,24 @@ trap 'rm -rf "$TMP"' EXIT
 # Medians of 3 repetitions: the dispatch-cost and verifier-share summary
 # numbers gate CI, and single-shot runs swing +-20% on shared machines.
 "$BUILD/bench/ablation_engine" \
-  --benchmark_filter='BM_AuthorizeVerdictCache|BM_AuthorizeCompiled|BM_AuthorizeIndexedChains|BM_AuthorizeLinearScan|BM_CompileProgram|BM_VerifyProgram|BM_IncrementalCommit|BM_BuildSymbolicModel' \
+  --benchmark_filter='BM_AuthorizeVerdictCache|BM_AuthorizeCompiled|BM_CompileProgram|BM_VerifyProgram|BM_IncrementalCommit|BM_BuildSymbolicModel' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
   --benchmark_out="$TMP/ablation.json" --benchmark_out_format=json
 "$BUILD/src/apps/pfcheck" --library --json > "$TMP/pfcheck.json"
 
-python3 - "$TMP" "$OUT" <<'EOF'
-import json, sys, os
+COMMIT="$(git rev-parse --short HEAD)"
+DIRTY=false
+git diff --quiet HEAD -- || DIRTY=true
 
-tmp, out_path = sys.argv[1], sys.argv[2]
-out = {}
+python3 - "$TMP" "$OUT" "$COMMIT" "$DIRTY" <<'EOF'
+import datetime, json, sys, os
+
+tmp, out_path, commit, dirty = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4]
+out = {
+    "commit": commit,
+    "dirty": dirty == "true",
+    "recorded": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+}
 for name in ("table6", "table7"):
     with open(os.path.join(tmp, name + ".json")) as f:
         out.update(json.load(f))
@@ -58,36 +72,25 @@ with open(os.path.join(tmp, "pfcheck.json")) as f:
 # Headline acceptance numbers, precomputed for easy inspection.
 t6 = out["table6"]
 ae = out["ablation_engine"]
-# Dispatch cost on the linear-scan pair: the indexed pair at 1218 is
-# fixed-overhead dominated (hashing + unwinding), so the evaluator speedup
-# is measured legacy-walker scan vs compiled scan, verifier on.
-legacy_1218 = ae.get("BM_AuthorizeLinearScan/1218", {}).get("ns_per_op")
-compiled_1218 = ae.get("BM_AuthorizeCompiledScan/1218", {}).get("ns_per_op")
 out["summary"] = {
     "analyzer_us": out["pfcheck"]["analysis_us"],
     "stat_full_us": t6["stat"]["FULL"],
     "stat_eptspc_us": t6["stat"]["EPTSPC"],
-    "stat_compiled_us": t6["stat"]["COMPILED"],
     "stat_vcache_us": t6["stat"]["VCACHE"],
     "open_close_full_us": t6["open+close"]["FULL"],
     "open_close_eptspc_us": t6["open+close"]["EPTSPC"],
-    "open_close_compiled_us": t6["open+close"]["COMPILED"],
     "open_close_vcache_us": t6["open+close"]["VCACHE"],
     "macro_vcache_hit_rate": out["table7"]["vcache"]["hit_rate"],
     "macro_hit_rate": out["table7"]["vcache"]["hit_rate"],
     "macro_state_hits": out["table7"]["vcache"].get("state_hits"),
     "macro_bypasses": out["table7"]["vcache"].get("bypasses"),
-    # Compiled-program evaluator: cache-miss Authorize, 1218-rule base,
-    # legacy walker vs arena program (ns/op), the one-time lowering cost,
-    # and the load-time verifier's share of it.
-    "authorize_legacy_1218_ns": legacy_1218,
-    "authorize_compiled_1218_ns": compiled_1218,
-    "authorize_indexed_1218_ns":
-        ae.get("BM_AuthorizeIndexedChains/1218", {}).get("ns_per_op"),
+    # The evaluator: cache-miss Authorize over the 1218-rule base, linear
+    # scan and entrypoint-indexed (ns/op), the one-time lowering cost, and
+    # the load-time verifier's share of it.
+    "authorize_compiled_1218_ns":
+        ae.get("BM_AuthorizeCompiledScan/1218", {}).get("ns_per_op"),
     "authorize_compiled_indexed_1218_ns":
         ae.get("BM_AuthorizeCompiledIndexed/1218", {}).get("ns_per_op"),
-    "compiled_speedup_1218": (legacy_1218 / compiled_1218
-                              if legacy_1218 and compiled_1218 else None),
     "compile_program_1218_ns": ae.get("BM_CompileProgram/1218", {}).get("ns_per_op"),
     "verify_program_1218_ns": ae.get("BM_VerifyProgram/1218", {}).get("ns_per_op"),
     "verify_us": out["pfcheck"].get("verify_us"),
@@ -158,9 +161,17 @@ out["summary"].update({
     "automata_protocols": out["pfcheck"].get("automata", {}).get("protocols"),
 })
 
+records = []
+if os.path.exists(out_path):
+    with open(out_path) as f:
+        records = json.load(f)
+records = [r for r in records
+           if (r.get("commit"), r.get("dirty")) != (out["commit"], out["dirty"])]
+records.append(out)
 with open(out_path, "w") as f:
-    json.dump(out, f, indent=2)
+    json.dump(records, f, indent=2)
     f.write("\n")
-print(f"wrote {out_path}")
+print(f"appended {commit}{' (dirty)' if out['dirty'] else ''} to {out_path} "
+      f"({len(records)} records)")
 print(json.dumps(out["summary"], indent=2))
 EOF

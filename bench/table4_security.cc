@@ -50,8 +50,7 @@ bool VerifyAuditTrail(System& sys, const char* exploit_id, std::ofstream& sink) 
   for (const audit::AuditRecord* r : denies) {
     const audit::Tier tier = static_cast<audit::Tier>(r->tier);
     if (r->chain_id >= 0 &&
-        (tier == audit::Tier::kCompiled || tier == audit::Tier::kLegacy ||
-         tier == audit::Tier::kBypass)) {
+        (tier == audit::Tier::kCompiled || tier == audit::Tier::kBypass)) {
       ++traversed[{r->chain_id, r->rule_index}];
     }
   }

@@ -10,6 +10,9 @@
 //   EPTSPC    + entrypoint-specific chains (hash lookup instead of scan)
 //   VCACHE    + AVC-style verdict cache (repeat accesses skip traversal)
 //
+// Every rung runs the engine's one evaluator (the compiled program), so the
+// columns differ only in the optimization each adds.
+//
 // The paper's shape: resource-access syscalls (stat/open) suffer most
 // unoptimized (~110%) and drop to ~10% with all optimizations; non-resource
 // syscalls stay under a few percent. The verdict cache goes beyond the
@@ -37,9 +40,8 @@ struct Config {
   core::EngineConfig engine;
 };
 
-// Every rung below VCACHE pins verdict_cache off, and every rung below
-// COMPILED pins compiled_eval off (both default on), so each column still
-// isolates exactly one optimization.
+// Every rung below VCACHE pins verdict_cache off (default on), so each column
+// still isolates exactly one optimization.
 const Config kConfigs[] = {
     {"DISABLED", false, false, {}},
     {"BASE", true, false,
@@ -47,22 +49,19 @@ const Config kConfigs[] = {
       .verdict_cache = false}},
     {"FULL", true, true,
      {.lazy_context = false, .cache_context = false, .ept_chains = false,
-      .verdict_cache = false, .compiled_eval = false}},
+      .verdict_cache = false}},
     {"CONCACHE", true, true,
      {.lazy_context = false, .cache_context = true, .ept_chains = false,
-      .verdict_cache = false, .compiled_eval = false}},
+      .verdict_cache = false}},
     {"LAZYCON", true, true,
      {.lazy_context = true, .cache_context = true, .ept_chains = false,
-      .verdict_cache = false, .compiled_eval = false}},
+      .verdict_cache = false}},
     {"EPTSPC", true, true,
      {.lazy_context = true, .cache_context = true, .ept_chains = true,
-      .verdict_cache = false, .compiled_eval = false}},
-    {"COMPILED", true, true,
-     {.lazy_context = true, .cache_context = true, .ept_chains = true,
-      .verdict_cache = false, .compiled_eval = true}},
+      .verdict_cache = false}},
     {"VCACHE", true, true,
      {.lazy_context = true, .cache_context = true, .ept_chains = true,
-      .verdict_cache = true, .compiled_eval = true}},
+      .verdict_cache = true}},
 };
 
 struct Workload {
@@ -265,10 +264,8 @@ void Run(const char* json_path) {
   json.WriteTo(json_path);
   std::printf("\nExpected shape (paper): FULL hits resource syscalls hardest (stat ~110%%),\n"
               "each optimization reduces it, and EPTSPC lands near BASE (<11%% on any\n"
-              "one syscall; <3%% for syscalls not performing resource access). COMPILED\n"
-              "replaces the tree walker with the arena program evaluator and should\n"
-              "shave EPTSPC further on resource syscalls; VCACHE should pull\n"
-              "repeat-access syscalls (stat, open+close) below both.\n");
+              "one syscall; <3%% for syscalls not performing resource access). VCACHE\n"
+              "should pull repeat-access syscalls (stat, open+close) below EPTSPC.\n");
 }
 
 }  // namespace pf::bench

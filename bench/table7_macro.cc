@@ -34,15 +34,10 @@ using sim::Proc;
 constexpr int kRepeats = 9;
 constexpr uint64_t kSyscallCostNs = 6000;  // calibrated kernel-entry cost
 
-enum class Mode { kWithoutPf, kPfBase, kPfLegacy, kPfFull };
-const char* ModeName(Mode m) {
-  switch (m) {
-    case Mode::kWithoutPf: return "Without PF";
-    case Mode::kPfBase: return "PF Base";
-    case Mode::kPfLegacy: return "PF Legacy";
-    default: return "PF Full";
-  }
-}
+// The paper's three columns, in table order.
+enum class Mode { kWithoutPf, kPfBase, kPfFull };
+constexpr Mode kModes[] = {Mode::kWithoutPf, Mode::kPfBase, Mode::kPfFull};
+constexpr int kModeCount = static_cast<int>(std::size(kModes));
 
 std::unique_ptr<System> MakeSystem(Mode mode) {
   auto sys = std::make_unique<System>();
@@ -53,13 +48,6 @@ std::unique_ptr<System> MakeSystem(Mode mode) {
       break;
     case Mode::kPfBase:
       break;  // enabled, empty rule base
-    case Mode::kPfLegacy:
-      // Full rule base on the legacy tree walker: the compiled-program
-      // column's baseline.
-      sys->engine->config().compiled_eval = false;
-      sys->InstallRules(apps::RuleLibrary::DefaultRuleBase());
-      sys->InstallRules(SyntheticRuleBase(1200));
-      break;
     case Mode::kPfFull:
       sys->InstallRules(apps::RuleLibrary::DefaultRuleBase());
       sys->InstallRules(SyntheticRuleBase(1200));
@@ -292,9 +280,9 @@ struct VcacheTotals {
   }
 };
 
-void PrintRow(const char* name, const char* unit, const Sample (&cells)[4]) {
+void PrintRow(const char* name, const char* unit, const Sample (&cells)[kModeCount]) {
   std::printf("%-18s", name);
-  for (int m = 0; m < 4; ++m) {
+  for (int m = 0; m < kModeCount; ++m) {
     double pct = OverheadPct(cells[0].mean, cells[m].mean);
     // For throughput, positive overhead means fewer Kb/s.
     if (m == 0) {
@@ -306,12 +294,12 @@ void PrintRow(const char* name, const char* unit, const Sample (&cells)[4]) {
   std::printf(" %s\n", unit);
 }
 
-void EmitRow(JsonWriter& json, const std::string& name, const Sample (&cells)[4]) {
+void EmitRow(JsonWriter& json, const std::string& name,
+             const Sample (&cells)[kModeCount]) {
   json.BeginObject(name);
   json.Number("without_pf", cells[0].mean);
   json.Number("pf_base", cells[1].mean);
-  json.Number("pf_legacy", cells[2].mean);
-  json.Number("pf_full", cells[3].mean);
+  json.Number("pf_full", cells[2].mean);
   json.EndObject();
 }
 
@@ -319,24 +307,22 @@ void EmitRow(JsonWriter& json, const std::string& name, const Sample (&cells)[4]
 
 void Run(const char* json_path) {
   Caption("Table 7: macrobenchmarks (mean ± 95% CI; % overhead vs Without PF)");
-  std::printf("%-18s  %16s        %16s        %16s        %16s\n", "benchmark",
-              "Without PF", "PF Base", "PF Legacy", "PF Full");
+  std::printf("%-18s  %16s        %16s        %16s\n", "benchmark", "Without PF",
+              "PF Base", "PF Full");
 
-  const Mode modes[] = {Mode::kWithoutPf, Mode::kPfBase, Mode::kPfLegacy, Mode::kPfFull};
-  (void)ModeName;
   VcacheTotals vcache;
   JsonWriter json;
   json.BeginObject("table7");
 
   // Apache Build.
   {
-    Sample cells[4];
-    for (int m = 0; m < 4; ++m) {
+    Sample cells[kModeCount];
+    for (int m = 0; m < kModeCount; ++m) {
       std::vector<double> runs;
       for (int r = 0; r < kRepeats; ++r) {
-        auto sys = MakeSystem(modes[m]);
+        auto sys = MakeSystem(kModes[m]);
         runs.push_back(RunBuild(*sys));
-        if (modes[m] == Mode::kPfFull) {
+        if (kModes[m] == Mode::kPfFull) {
           vcache.Add(sys->engine->stats());
         }
       }
@@ -347,13 +333,13 @@ void Run(const char* json_path) {
   }
   // Boot.
   {
-    Sample cells[4];
-    for (int m = 0; m < 4; ++m) {
+    Sample cells[kModeCount];
+    for (int m = 0; m < kModeCount; ++m) {
       std::vector<double> runs;
       for (int r = 0; r < kRepeats; ++r) {
-        auto sys = MakeSystem(modes[m]);
+        auto sys = MakeSystem(kModes[m]);
         runs.push_back(RunBoot(*sys));
-        if (modes[m] == Mode::kPfFull) {
+        if (kModes[m] == Mode::kPfFull) {
           vcache.Add(sys->engine->stats());
         }
       }
@@ -364,15 +350,15 @@ void Run(const char* json_path) {
   }
   // Web.
   for (int clients : {1, 1000}) {
-    Sample lat[4], thr[4];
-    for (int m = 0; m < 4; ++m) {
+    Sample lat[kModeCount], thr[kModeCount];
+    for (int m = 0; m < kModeCount; ++m) {
       std::vector<double> lat_runs, thr_runs;
       for (int r = 0; r < kRepeats; ++r) {
-        auto sys = MakeSystem(modes[m]);
+        auto sys = MakeSystem(kModes[m]);
         WebResult res = RunWeb(*sys, clients);
         lat_runs.push_back(res.latency_ms);
         thr_runs.push_back(res.throughput_kbs);
-        if (modes[m] == Mode::kPfFull) {
+        if (kModes[m] == Mode::kPfFull) {
           vcache.Add(sys->engine->stats());
         }
       }
@@ -429,9 +415,8 @@ void Run(const char* json_path) {
   json.EndObject();
   json.WriteTo(json_path);
   std::printf("\nExpected shape (paper): PF Base within ~1%%, PF Full within ~4%% on\n"
-              "every macrobenchmark (PF Legacy = full rules on the legacy tree walker;\n"
-              "PF Full adds the compiled evaluator + verdict cache). The verdict cache\n"
-              "should serve the majority of PF Full decisions (hit rate >= 50%%).\n");
+              "every macrobenchmark. The verdict cache should serve the majority of\n"
+              "PF Full decisions (hit rate >= 50%%).\n");
 }
 
 }  // namespace pf::bench

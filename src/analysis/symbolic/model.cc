@@ -264,7 +264,7 @@ class Builder {
     reach.subjects = DimSet::Union(reach.subjects, item.region.dims[kDimSubject]);
   }
 
-  // --- symbolic twins of EvalRule / EvalRules / TraverseChain ---
+  // --- symbolic twins of ExecRule / ExecEntries / ExecChain ---
 
   // Evaluates one rule over one item: terminal paths append to `out`,
   // keep-going paths (no match, or side-effect-only target) to `next`.

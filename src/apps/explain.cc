@@ -41,8 +41,8 @@ ExplainResult ExplainRequest(core::Engine& engine, sim::AccessRequest& req) {
   (void)hub.Drain();  // discard any backlog: drained events must be ours alone
 
   // Per-rule counter snapshot over the published program's live records. The
-  // Rule atomics are shared with the staging base, so both evaluators (the
-  // compiled program and the legacy walker) move the same counters.
+  // Rule atomics are shared with the staging base and every generation, so
+  // the snapshot sees exactly what the evaluator moves.
   const std::shared_ptr<const core::CompiledRuleset> rs = engine.PublishedRuleset();
   std::vector<RuleCounter> counters;
   if (rs != nullptr) {
@@ -103,9 +103,7 @@ ExplainResult ExplainRequest(core::Engine& engine, sim::AccessRequest& req) {
   } else if (after.vcache_misses > before.vcache_misses || traversed_rules) {
     // A miss traverses even when every reachable rule list for the op is
     // empty (entrypoint-indexed chains with no matching binding).
-    out.tier = std::string(audit::TierName(engine.config().compiled_eval
-                                               ? audit::Tier::kCompiled
-                                               : audit::Tier::kLegacy));
+    out.tier = std::string(audit::TierName(audit::Tier::kCompiled));
   } else {
     out.tier = "fast-path";  // no applicable chain: Authorize never built a packet
   }
@@ -178,7 +176,7 @@ std::string ExplainResult::Render(const trace::NameTable& names) const {
   if (drop) {
     os << "  matched rule: ";
     if (chain_id < 0) {
-      os << "(chain policy or legacy walker — no compiled attribution)";
+      os << "(chain policy)";
     } else {
       os << chain_id << ":" << rule_index;
       for (const ExplainStep& s : steps) {

@@ -43,11 +43,10 @@ inline constexpr uint32_t kAllKinds = (1u << static_cast<uint32_t>(Kind::kCount)
 
 // Which tier of the engine served the decision the event belongs to.
 enum class Tier : uint8_t {
-  kLegacy = 0,   // legacy tree-walker traversal
-  kCompiled,     // arena-program evaluator traversal (cache miss or disabled)
-  kVcache,       // pure verdict-cache hit, no traversal
-  kVcacheState,  // stateful-tier hit: automaton-extended key, effects replayed
-  kBypass,       // unlowerable stateful chain: traversed, never cached
+  kCompiled = 0,  // arena-program evaluator traversal (cache miss or disabled)
+  kVcache,        // pure verdict-cache hit, no traversal
+  kVcacheState,   // stateful-tier hit: automaton-extended key, effects replayed
+  kBypass,        // unlowerable stateful chain: traversed, never cached
   kCount,
 };
 
@@ -75,13 +74,13 @@ inline constexpr uint16_t kNoAutomaton = 0xffff;
 //
 //   kDeny /        everything below. chain_id/rule_index name the
 //   kAuditedDeny   verdict-producing rule in the compiled program (-1 when
-//                  the chain policy decided or the legacy walker ran);
+//                  the chain policy decided);
 //                  tier/cause say how the decision was served; astate_in is
 //                  the folded automaton state the decision keyed on and
 //                  astate_out the fold after its recorded effects
 //                  (kFlagStateKey).
-//   kLogHit        chain_id/rule_index = the LOG rule (compiled path; -1
-//                  from the legacy walker), other fields as for kDeny.
+//   kLogHit        chain_id/rule_index = the LOG rule, other fields as for
+//                  kDeny.
 //   kPhase         astate_in/astate_out carry the @phase transition as
 //                  (from, to) PhaseId values; chain_id/rule_index are -1.
 //

@@ -5,8 +5,8 @@
 // buckets and the entrypoint index as entry-table slices, each bucket with
 // its own rules' context needs and purity and its JUMP edges, which
 // CloseBuckets then closes to a fixpoint. Rule bodies are emitted in chain
-// order, one guard/match instruction sequence per rule, mirroring the legacy
-// walker's evaluation order exactly (op precheck, subject precheck, one
+// order, one guard/match instruction sequence per rule, in the reference
+// evaluation order of a Rule object (op precheck, subject precheck, one
 // context round-trip, the entrypoint/object default matches, -m modules,
 // target).
 //

@@ -12,10 +12,6 @@
 namespace pf::core {
 
 namespace {
-constexpr CtxMask kAllCtx = CtxBit(Ctx::kObject) | CtxBit(Ctx::kLinkTarget) |
-                            CtxBit(Ctx::kAdversaryAccess) | CtxBit(Ctx::kEntrypoint) |
-                            CtxBit(Ctx::kUserStack) | CtxBit(Ctx::kInterpStack);
-
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
 // Per-decision observer scratch: the one spine both observers — the tracer
@@ -31,7 +27,7 @@ struct ObsScratch {
 
   // Attribution and timing, read by both observers.
   uint64_t ctx_ns = 0;       // summed EnsureContext time of this decision
-  int32_t chain_id = -1;     // verdict-producing rule, compiled path only
+  int32_t chain_id = -1;     // verdict-producing rule (-1: chain policy)
   int32_t rule_index = -1;
   uint16_t worker = 0;       // set when traced; audit resolves it at emission
   uint8_t op = 0;
@@ -43,9 +39,9 @@ struct ObsScratch {
   // Security events that surface mid-traversal — LOG-target hits, `@phase`
   // transitions — parked (fixed-size, overflow-counted) for the audit
   // epilogue, where the serving tier, timing and packet provenance are all
-  // known. The compiled kLog handler deposits its RuleRecord identity in
-  // cur_chain/cur_rule just before EmitLog; the legacy walker leaves -1
-  // (the tracing convention).
+  // known. The kLog handler deposits its RuleRecord identity in
+  // cur_chain/cur_rule just before EmitLog; any other caller leaves -1 (the
+  // tracing convention).
   int32_t cur_chain = -1;
   int32_t cur_rule = -1;
   int32_t log_chain[kMaxPending];
@@ -77,7 +73,7 @@ struct ObsScratch {
 
 thread_local ObsScratch* g_obs = nullptr;
 
-// Stateful-effects capture (engine.h NoteRuleHit/NoteDictDelta), armed by
+// Stateful-effects capture (NoteRuleHit/NoteDictDelta below), armed by
 // Authorize around a miss traversal it intends to cache with automaton state
 // in the key. `own_mutations` counts the dictionary writes this traversal
 // performed itself; comparing the task's dict_seq across the traversal
@@ -90,8 +86,9 @@ struct EffectsCapture {
 
 thread_local EffectsCapture* g_capture = nullptr;
 
-}  // namespace
-
+// Stateful-miss capture hooks: every rule-hit and dictionary-write handler in
+// exec_insn.inc reports through these (no-ops when unarmed, one predictable
+// branch). The capture becomes the cache entry's StatefulEffects.
 void NoteRuleHit(const Rule* rule) {
   if (EffectsCapture* cap = g_capture) {
     cap->fx.hits.push_back(rule);
@@ -105,6 +102,11 @@ void NoteDictDelta(const std::string& key, bool unset, int64_t value) {
   }
 }
 
+// Audit-observer hook: every `@phase` dictionary write site — the kStateSet
+// handler and the stateful cache-hit replay — reports the transition through
+// this while an observed decision (traced or audited) has its scratch armed
+// (no-op otherwise, one predictable branch on a path that already took a
+// mutex).
 void NotePhaseTransition(int64_t from, int64_t to) {
   if constexpr (trace::kTraceCompiledIn) {
     if (ObsScratch* os = g_obs) {
@@ -115,6 +117,8 @@ void NotePhaseTransition(int64_t from, int64_t to) {
     (void)to;
   }
 }
+
+}  // namespace
 
 bool IsOutputOp(sim::Op op) {
   switch (op) {
@@ -754,10 +758,10 @@ void Engine::EmitLog(Packet& pkt, const std::string& prefix) {
   log_.Append(std::move(rec));
   // Audit hook: a LOG fired during an observed decision is parked, and
   // becomes a kLogHit record in the epilogue when the decision is audited.
-  // The compiled kLog handler parked its rule identity in cur_chain/cur_rule
-  // just before calling here; the legacy walker's LogTarget::Fire leaves -1
-  // (the tracing convention). The audit-drop EmitLog in Authorize runs after
-  // the scratch is popped, so a denial never double-reports as a log hit.
+  // The kLog handler parked its rule identity in cur_chain/cur_rule just
+  // before calling here; any other caller leaves -1 (the tracing
+  // convention). The audit-drop EmitLog in Authorize runs after the scratch
+  // is popped, so a denial never double-reports as a log hit.
   if constexpr (trace::kTraceCompiledIn) {
     if (ObsScratch* os = g_obs) {
       os->NoteLog();
@@ -765,179 +769,17 @@ void Engine::EmitLog(Packet& pkt, const std::string& prefix) {
   }
 }
 
-// --- rule evaluation -------------------------------------------------------------
-
-bool Engine::DefaultMatches(const Rule& rule, Packet& pkt) {
-  const sim::AccessRequest& req = *pkt.req;
-  if (rule.op && *rule.op != req.op) {
-    return false;
-  }
-  if (!rule.subject.wildcard &&
-      !rule.subject.MatchesSubject(req.task->cred.sid, kernel_.policy())) {
-    return false;
-  }
-  if (rule.has_program() || rule.entrypoint) {
-    EnsureContext(pkt, CtxBit(Ctx::kEntrypoint));
-    if (!pkt.entrypoint_valid) {
-      return false;  // unusable stack forfeits only this process's protection
-    }
-    if (rule.has_program() && !(pkt.entrypoint.image == rule.program_file)) {
-      return false;
-    }
-    if (rule.entrypoint && pkt.entrypoint.offset != *rule.entrypoint) {
-      return false;
-    }
-  }
-  if (!rule.object.wildcard || rule.ino) {
-    EnsureContext(pkt, CtxBit(Ctx::kObject));
-    if (!pkt.has_object) {
-      return false;
-    }
-    if (rule.ino && pkt.object_id.ino != *rule.ino) {
-      return false;
-    }
-    if (!rule.object.wildcard) {
-      // SYSHIGH membership is a policy (adversary accessibility) question.
-      if (rule.object.syshigh) {
-        EnsureContext(pkt, CtxBit(Ctx::kAdversaryAccess));
-      }
-      if (!rule.object.MatchesObject(pkt.object_sid, kernel_.policy())) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-Engine::Verdict Engine::EvalRule(const CompiledRuleset& rs, const Rule& rule, Packet& pkt,
-                                 int depth) {
-  StatsLocal().rules_evaluated.fetch_add(1, kRelaxed);
-  rule.evals.fetch_add(1, kRelaxed);
-  const sim::AccessRequest& req = *pkt.req;
-  // Contextless prechecks first, then one context round-trip: rule.needs is
-  // the install-time union of the default matches, every -m module, and the
-  // target, so the EnsureContext calls inside DefaultMatches and the modules
-  // all short-circuit on the bitmask.
-  if (rule.op && *rule.op != req.op) {
-    return Verdict::kFallthrough;
-  }
-  if (!rule.subject.wildcard &&
-      !rule.subject.MatchesSubject(req.task->cred.sid, kernel_.policy())) {
-    return Verdict::kFallthrough;
-  }
-  EnsureContext(pkt, rule.needs);
-  if (!DefaultMatches(rule, pkt)) {
-    return Verdict::kFallthrough;
-  }
-  for (const auto& match : rule.matches) {
-    if (!match->Matches(pkt, *this)) {
-      return Verdict::kFallthrough;
-    }
-  }
-  rule.hits.fetch_add(1, kRelaxed);
-  NoteRuleHit(&rule);
-  switch (rule.target->Fire(pkt, *this)) {
-    case TargetKind::kAccept:
-      return Verdict::kAccept;
-    case TargetKind::kDrop:
-      return Verdict::kDrop;
-    case TargetKind::kContinue:
-      return Verdict::kFallthrough;
-    case TargetKind::kReturn:
-      return Verdict::kReturn;  // ends this chain; caller continues
-    case TargetKind::kJump: {
-      const int32_t next = rs.program.FindChain(rule.target->jump_chain());
-      if (next >= 0 && depth < kMaxChainDepth) {
-        Verdict v = TraverseChain(rs, rs.program.chains[static_cast<size_t>(next)], pkt,
-                                  depth + 1);
-        if (v == Verdict::kAccept || v == Verdict::kDrop) {
-          return v;
-        }
-      }
-      return Verdict::kFallthrough;
-    }
-  }
-  return Verdict::kFallthrough;
-}
-
-Engine::Verdict Engine::EvalSlice(const CompiledRuleset& rs, uint32_t off, uint32_t len,
-                                  Packet& pkt, int depth) {
-  const PfProgram& prog = rs.program;
-  for (uint32_t i = 0; i < len; ++i) {
-    Verdict v = EvalRule(rs, *prog.rules[prog.entries[off + i]].rule, pkt, depth);
-    if (v != Verdict::kFallthrough) {
-      return v;  // accept, drop, or RETURN to the calling chain
-    }
-  }
-  return Verdict::kFallthrough;
-}
-
-Engine::Verdict Engine::EvalRules(const CompiledRuleset& rs,
-                                  const std::vector<const Rule*>& rules, Packet& pkt,
-                                  int depth) {
-  for (const Rule* rule : rules) {
-    Verdict v = EvalRule(rs, *rule, pkt, depth);
-    if (v != Verdict::kFallthrough) {
-      return v;
-    }
-  }
-  return Verdict::kFallthrough;
-}
-
-Engine::Verdict Engine::TraverseChain(const CompiledRuleset& rs, const ProgramChain& pc,
-                                      Packet& pkt, int depth) {
-  if (depth >= kMaxChainDepth) {
-    return Verdict::kFallthrough;
-  }
-  const ProgramBucket& bucket = pc.ops[static_cast<size_t>(pkt.req->op)];
-  if (config_.ept_chains && pc.index_built) {
-    // Non-entrypoint rules first (paper §4.3), then the hash-selected
-    // entrypoint chain. The per-op bucket already excludes rules whose -o
-    // operand cannot match.
-    Verdict v = EvalSlice(rs, bucket.plain_off, bucket.plain_len, pkt, depth);
-    if (v != Verdict::kFallthrough) {
-      return v;
-    }
-    if (bucket.has_indexed) {
-      EnsureContext(pkt, CtxBit(Ctx::kEntrypoint));
-      if (pkt.entrypoint_valid) {
-        const auto* rules = rs.rules.filter().Find(pc.name)->EptRules(
-            EptKey{pkt.entrypoint.image, pkt.entrypoint.offset});
-        if (rules != nullptr) {
-          StatsLocal().ept_chain_hits.fetch_add(1, kRelaxed);
-          return EvalRules(rs, *rules, pkt, depth);
-        }
-      }
-    }
-    return Verdict::kFallthrough;
-  }
-  // Linear traversal of the op's bucket (chain order preserved).
-  return EvalSlice(rs, bucket.all_off, bucket.all_len, pkt, depth);
-}
-
-// Runs one builtin chain and applies its default policy on fallthrough.
-Engine::Verdict Engine::RunBuiltin(const CompiledRuleset& rs, const ProgramChain& pc,
-                                   Packet& pkt) {
-  Verdict v = TraverseChain(rs, pc, pkt, 0);
-  if (v == Verdict::kReturn) {
-    v = Verdict::kFallthrough;
-  }
-  if (v == Verdict::kFallthrough && pc.policy_drop) {
-    v = Verdict::kDrop;
-  }
-  return v;
-}
-
-// --- compiled evaluator ----------------------------------------------------------
+// --- rule evaluation (the compiled evaluator) -----------------------------------
 //
-// The program-form twin of EvalRule/EvalRules/TraverseChain/RunBuiltin: an
-// instruction interpreter over the arena. Every handler replicates its
-// legacy counterpart bit for bit — same counter totals, same EnsureContext
-// semantics (each guard op fetches exactly what the tree walker's
-// DefaultMatches would), same side effects — which the COMPILED ablation
-// rung and the differential fuzz test enforce. Builtin matches and targets
-// execute inline from pool operands; kMatchNative/kTargetNative escape into
-// the extension module's virtual Matches()/Fire().
+// The engine's one traversal: an instruction interpreter over the arena.
+// Every handler replicates the reference semantics of its rule part — the
+// default matches and the builtin modules' Matches()/Fire() — bit for bit:
+// same counter totals, same EnsureContext order, same side effects. The
+// differential fuzz test holds it to that against the Rule-object tree
+// walker kept as its reference (tests/core/reference_walker.h). Builtin
+// matches and targets execute inline from pool operands;
+// kMatchNative/kTargetNative escape into the extension module's virtual
+// Matches()/Fire().
 //
 // The handler bodies live in src/core/exec_insn.inc, expanded once as the
 // cases of ExecRule's switch loop. An opcode outside the instruction set
@@ -970,7 +812,7 @@ Engine::Verdict Engine::ExecEntries(const CompiledRuleset& rs, uint32_t off, uin
     ds = g_obs;
   }
   // rules_evaluated is batched: one thread-local lookup and one atomic add
-  // per entry list instead of per rule. Totals match the legacy walker
+  // per entry list instead of per rule. Totals match a per-rule count
   // exactly (every return path below flushes); the per-rule `evals` counter
   // stays per rule — `pftables -L -v` prints it.
   EngineStatsBlock& sb = StatsLocal();
@@ -1390,15 +1232,10 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
       prev_capture = g_capture;
       g_capture = &capture;
     }
+    path = trace::Path::kCompiled;
     Verdict verdict = Verdict::kFallthrough;
     for (size_t i = 0; i < num_applicable && verdict == Verdict::kFallthrough; ++i) {
-      if (config_.compiled_eval) {
-        path = trace::Path::kCompiled;
-        verdict = RunBuiltinCompiled(rs, *applicable[i], pkt);
-      } else {
-        path = trace::Path::kFull;
-        verdict = RunBuiltin(rs, *applicable[i], pkt);
-      }
+      verdict = RunBuiltinCompiled(rs, *applicable[i], pkt);
     }
     drop = verdict == Verdict::kDrop;
     if (capturing) {
@@ -1408,7 +1245,7 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
       CachedVerdict cv;
       cv.drop = drop;
       // Memoize attribution when an observer was watching the traversal
-      // (compiled path only, -1 otherwise — the tracing convention). Like
+      // (-1 otherwise — the tracing convention). Like
       // the verdict it is a pure function of the key, so a later hit can
       // report the matched rule without re-traversing.
       cv.chain_id = obs.chain_id;
@@ -1541,9 +1378,7 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
           base.tier = static_cast<uint8_t>(audit::Tier::kBypass);
           base.cause = bypass_causes;
         } else {
-          base.tier = static_cast<uint8_t>(path == trace::Path::kCompiled
-                                               ? audit::Tier::kCompiled
-                                               : audit::Tier::kLegacy);
+          base.tier = static_cast<uint8_t>(audit::Tier::kCompiled);
         }
         if (state_probe) {
           base.flags |= audit::kFlagStateKey;

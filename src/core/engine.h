@@ -11,11 +11,12 @@
 //   CONCACHE = {lazy_context=false, cache_context=true,  ept_chains=false}
 //   LAZYCON  = {lazy_context=true,  cache_context=true,  ept_chains=false}
 //   EPTSPC   = {lazy_context=true,  cache_context=true,  ept_chains=true}
-//   COMPILED = EPTSPC + compiled_eval (switch-loop evaluator over the
-//              arena-packed program; see DESIGN.md "Compiled PF programs")
-//   VCACHE   = COMPILED + verdict_cache (commit-time compilation + AVC-style
+//   VCACHE   = EPTSPC + verdict_cache (commit-time compilation + AVC-style
 //              verdict cache; see DESIGN.md "Verdict cache and commit-time
 //              compilation")
+//
+// Every rung runs the same evaluator: a switch loop over the commit-time
+// arena-packed program (DESIGN.md "Compiled PF programs").
 //
 // Concurrency model (paper §5.1 makes the hooks re-entrant "without
 // disabling interrupts"; here the same property is carried to real worker
@@ -60,7 +61,7 @@
 namespace pf::core {
 
 // Maximum JUMP nesting depth. A chain entered at this depth is not
-// evaluated (TraverseChain falls through), so rules only reachable beyond
+// evaluated (ExecChain falls through), so rules only reachable beyond
 // the bound are dead — the static analyzer (src/analysis) flags them.
 inline constexpr int kMaxChainDepth = 8;
 
@@ -91,12 +92,6 @@ struct EngineConfig {
   // rules the pass cannot lower transparently stay on the bypass path.
   // Effective only together with verdict_cache.
   bool automata = true;
-  // Evaluate hooks with the switch-dispatch interpreter over the commit-time
-  // arena-packed program (program.h) instead of the legacy shared_ptr<Rule>
-  // tree walker. Both produce bit-identical verdicts, stats, and side
-  // effects (enforced by the COMPILED ablation rung and the differential
-  // fuzz test); the flag exists for the ablation ladder and as a fallback.
-  bool compiled_eval = true;
   // Incremental CommitRuleset: when the staging edit touched only some
   // chains (per-chain edit sequences), copy the published program and
   // re-lower just the dirty chains instead of relowering everything. The
@@ -274,7 +269,7 @@ struct CompiledRuleset {
   uint64_t generation = 0;
 
   // The arena-packed program form of the same generation (see program.h):
-  // lowered by LowerProgram during compilation, consumed by both evaluators,
+  // lowered by LowerProgram during compilation, consumed by the evaluator,
   // the static analyzer, and `pftables -L --compiled`.
   PfProgram program;
 
@@ -347,8 +342,8 @@ struct VerdictKeyHash {
 };
 
 // One recorded STATE-dictionary write (or unset) of a stateful miss
-// traversal, keyed by value (not pool index) so replay is independent of the
-// evaluation path — compiled or legacy — that recorded it.
+// traversal, keyed by value (not pool index) so replay needs no program to
+// decode it.
 struct DictDelta {
   std::string key;
   bool unset = false;
@@ -404,23 +399,6 @@ class VerdictCache {
 
   std::array<Shard, kShards> shards_;
 };
-
-// Stateful-miss capture hooks. While Engine::Authorize runs a miss traversal
-// it intends to cache with automaton state in the key, a thread-local
-// capture is armed and every evaluation path — the compiled handlers in
-// exec_insn.inc, the legacy walker's hit bump, StateTarget::Fire — reports
-// rule hits and dictionary writes through these (no-ops when unarmed, one
-// predictable branch). The capture becomes the entry's StatefulEffects.
-void NoteRuleHit(const Rule* rule);
-void NoteDictDelta(const std::string& key, bool unset, int64_t value);
-
-// Audit-observer hook: while Engine::Authorize runs an observed decision
-// (traced or audited), its thread-local observer scratch is armed and every
-// `@phase` dictionary write site — the compiled kStateSet handler,
-// StateTarget/PhaseTarget::Fire, the stateful cache-hit replay — reports the
-// transition through this (no-op when unarmed, one predictable branch on a
-// path that already took a mutex).
-void NotePhaseTransition(int64_t from, int64_t to);
 
 class Engine : public sim::SecurityModule {
  public:
@@ -549,23 +527,9 @@ class Engine : public sim::SecurityModule {
 
   EngineStatsBlock& StatsLocal();
 
-  // The legacy tree walker: the reference the compiled evaluator is diffed
-  // against. It walks the same program buckets but evaluates each rule
-  // through its Rule object, and keeps its own entrypoint index
-  // (Chain::EptRules) rather than ProgramChain::ept.
-  Verdict RunBuiltin(const CompiledRuleset& rs, const ProgramChain& pc, Packet& pkt);
-  Verdict TraverseChain(const CompiledRuleset& rs, const ProgramChain& pc, Packet& pkt,
-                        int depth);
-  Verdict EvalSlice(const CompiledRuleset& rs, uint32_t off, uint32_t len, Packet& pkt,
-                    int depth);
-  Verdict EvalRules(const CompiledRuleset& rs, const std::vector<const Rule*>& rules,
-                    Packet& pkt, int depth);
-  Verdict EvalRule(const CompiledRuleset& rs, const Rule& rule, Packet& pkt, int depth);
-  bool DefaultMatches(const Rule& rule, Packet& pkt);
-
-  // Compiled-program twins of the traversal above (engine.cc "compiled
-  // evaluator"): a switch-dispatch loop over the arena, no virtual calls on
-  // the builtin-module path. Selected by EngineConfig::compiled_eval.
+  // The evaluator (engine.cc "rule evaluation"): a switch-dispatch loop over
+  // the program arena, no virtual calls on the builtin-module path. Runs one
+  // builtin chain and applies its default policy on fallthrough.
   Verdict RunBuiltinCompiled(const CompiledRuleset& rs, const ProgramChain& pc,
                              Packet& pkt);
   Verdict ExecChain(const CompiledRuleset& rs, const ProgramChain& pc, Packet& pkt,

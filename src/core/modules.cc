@@ -466,20 +466,11 @@ TargetKind StateTarget::Fire(Packet& pkt, Engine& engine) const {
   if (unset) {
     state.dict.erase(key);
     ++state.dict_seq;
-    NoteDictDelta(key, /*unset=*/true, 0);
     return TargetKind::kContinue;
   }
   if (auto v = value.Eval(pkt)) {
-    if (key == kPhaseKeyName) {
-      // Audit emit point (legacy walker): a STATE write to the @phase key is
-      // a protocol-phase transition, same as the compiled kStateSet handler.
-      auto it = state.dict.find(key);
-      NotePhaseTransition(it != state.dict.end() ? it->second : PhaseId(kPhaseInitName),
-                          *v);
-    }
     state.dict[key] = *v;
     ++state.dict_seq;
-    NoteDictDelta(key, /*unset=*/false, *v);
   }
   return TargetKind::kContinue;
 }
@@ -511,12 +502,8 @@ Status PhaseTarget::Create(const std::vector<std::string>& opts,
 TargetKind PhaseTarget::Fire(Packet& pkt, Engine& engine) const {
   PfTaskState& state = engine.TaskState(*pkt.req->task);
   std::lock_guard<std::mutex> lock(state.mu);
-  auto it = state.dict.find(std::string(kPhaseKeyName));
-  NotePhaseTransition(it != state.dict.end() ? it->second : PhaseId(kPhaseInitName),
-                      PhaseId(phase));
   state.dict[std::string(kPhaseKeyName)] = PhaseId(phase);
   ++state.dict_seq;
-  NoteDictDelta(std::string(kPhaseKeyName), /*unset=*/false, PhaseId(phase));
   return TargetKind::kContinue;
 }
 
@@ -545,7 +532,11 @@ std::string LogTarget::Render() const {
 //
 // Each builtin module compiles to exactly one inline-operand instruction whose
 // evaluator case (engine.cc ExecRule) replicates Matches()/Fire() bit for bit.
-// Extension modules keep the base-class default and run through the
+// The engine never calls a builtin's Matches()/Fire() itself: they are the
+// reference semantics the differential fuzz test's tree walker
+// (tests/core/reference_walker.h) runs against the evaluator, so they carry
+// none of the engine's capture or audit hooks. Extension
+// modules keep the base-class default and run through the
 // kMatchNative/kTargetNative escapes instead.
 
 bool StateMatch::Lower(ProgramBuilder& b) const {

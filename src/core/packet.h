@@ -35,6 +35,12 @@ enum class Ctx : uint32_t {
 
 constexpr uint32_t CtxBit(Ctx c) { return 1u << static_cast<uint32_t>(c); }
 
+// Every context field: what eager retrieval (EngineConfig::lazy_context off)
+// fetches before the first rule runs.
+constexpr uint32_t kAllCtx = CtxBit(Ctx::kObject) | CtxBit(Ctx::kLinkTarget) |
+                             CtxBit(Ctx::kAdversaryAccess) | CtxBit(Ctx::kEntrypoint) |
+                             CtxBit(Ctx::kUserStack) | CtxBit(Ctx::kInterpStack);
+
 // Context variables usable in match/target module arguments (C_INO etc.),
 // resolved against the packet at evaluation time.
 enum class CtxVar : uint32_t {

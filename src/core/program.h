@@ -295,13 +295,13 @@ struct ProgramChain {
   uint64_t op_mask = 0;
   std::vector<uint32_t> rules;  // rule-record indices, chain order
   std::array<ProgramBucket, sim::kOpCount> ops;
-  // Entrypoint index re-pointed at entry-table slices. Like the legacy
-  // Chain index the per-key rule list is NOT op-filtered (the kCheckOp
-  // guard handles mismatches, bumping eval counters exactly as the tree
-  // walker does). Immutable once the chain is lowered and held by
-  // shared_ptr (null = no indexed entrypoints): a delta commit's program
-  // copy shares every clean chain's map instead of re-hashing it, which is
-  // what keeps a one-rule edit from paying O(total rules) per generation.
+  // Entrypoint index re-pointed at entry-table slices. Like the staging
+  // Chain index (Chain::EptRules) the per-key rule list is NOT op-filtered
+  // (the kCheckOp guard handles mismatches and bumps the eval counters).
+  // Immutable once the chain is lowered and held by shared_ptr (null = no
+  // indexed entrypoints): a delta commit's program copy shares every clean
+  // chain's map instead of re-hashing it, which is what keeps a one-rule
+  // edit from paying O(total rules) per generation.
   std::shared_ptr<const EptSliceMap> ept;
   // STATE facts of this chain's live rules, cached for delta commits: when
   // the dirty chains' facts are value-equal across generations the automaton

@@ -47,12 +47,11 @@ inline constexpr uint32_t EventBit(Event e) {
 }
 inline constexpr uint32_t kAllEvents = (1u << static_cast<uint32_t>(Event::kCount)) - 1;
 
-// How the decision was served. The histogram axis of the ISSUE's
-// (op × {FULL, COMPILED, VCACHE}) latency matrix.
+// How the decision was served: the histogram axis of the
+// (op × {COMPILED, VCACHE}) latency matrix.
 enum class Path : uint8_t {
-  kFull = 0,   // legacy tree-walker traversal
-  kCompiled,   // arena-program evaluator traversal
-  kVcache,     // served from the verdict cache, no traversal
+  kCompiled = 0,  // arena-program evaluator traversal
+  kVcache,        // served from the verdict cache, no traversal
   kCount,
 };
 
@@ -81,8 +80,7 @@ inline constexpr uint8_t kFlagStateKey = 1u << 3;
 //   kDecision  everything below; ctx_ns/eval_ns/total_ns are the per-stage
 //              nanoseconds (eval_ns = total - context fetches), chain_id /
 //              rule_index name the verdict-producing rule in the compiled
-//              program (-1 when the default policy decided or the legacy
-//              walker ran).
+//              program (-1 when the default policy decided).
 //   kRule      chain_id/rule_index = the rule, eval_ns = its evaluation ns,
 //              flags kFlagDrop when it dropped.
 //   kCtxFetch  chain_id = the CtxMask fetched (reused field), eval_ns = ns.

@@ -181,7 +181,7 @@ std::vector<uint32_t> Assignment(const sym::Universe& u, sim::Kernel& kernel,
 
 // The tiers whose name ExplainRequest may report, for the consistency check.
 bool IsTraversalTier(const std::string& tier) {
-  return tier == "compiled" || tier == "legacy" || tier == "bypass";
+  return tier == "compiled" || tier == "bypass";
 }
 
 void RunExplainProof(uint64_t seed, bool ept) {

@@ -3,7 +3,8 @@
 // not semantics. All Table-6 configurations must produce byte-identical
 // verdict sequences — and identical per-task STATE dictionaries — on a
 // randomized workload of opens, binds, signal deliveries, and syscall
-// entries.
+// entries, and so must the reference tree walker (reference_walker.h) the
+// engine's evaluator is held to.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "src/core/engine.h"
 #include "src/core/pftables.h"
 #include "src/sim/sysimage.h"
+#include "tests/core/reference_walker.h"
 
 namespace pf::core {
 namespace {
@@ -26,21 +28,22 @@ constexpr int kOps = 10000;
 constexpr int kTasks = 3;
 constexpr uint64_t kWorkloadSeed = 0xab1a7e5eedull;
 
-EngineConfig MakeConfig(bool lazy, bool cache, bool ept, bool compiled = false,
-                        bool vcache = false, bool automata = true) {
+EngineConfig MakeConfig(bool lazy, bool cache, bool ept, bool vcache = false,
+                        bool automata = true) {
   EngineConfig cfg;
   cfg.lazy_context = lazy;
   cfg.cache_context = cache;
   cfg.ept_chains = ept;
-  cfg.compiled_eval = compiled;
   cfg.verdict_cache = vcache;
   cfg.automata = automata;
   return cfg;
 }
 
-// The Table-6 ablation ladder (the lower rungs pin compiled_eval and
-// verdict_cache off so each rung isolates exactly one optimization). The
-// TRACE rung re-runs the top configuration with
+// The Table-6 ablation ladder (the lower rungs pin verdict_cache off so each
+// rung isolates exactly one optimization). The REFERENCE rung runs the
+// EPTSPC configuration's workload through the reference tree walker instead
+// of Engine::Authorize: the evaluator every other rung runs must agree with
+// it on this workload. The TRACE rung re-runs the top configuration with
 // every tracepoint stream enabled: observability must be a pure observer —
 // verdicts, STATE dicts, and the decision counters all stay byte-identical.
 // The AUTOMATA rung re-runs the verdict-cache configuration with
@@ -57,16 +60,17 @@ const struct {
   EngineConfig cfg;
   bool traced = false;
   bool audited = false;
+  bool reference = false;
 } kConfigs[] = {
     {"FULL", MakeConfig(false, false, false)},
     {"CONCACHE", MakeConfig(false, true, false)},
     {"LAZYCON", MakeConfig(true, true, false)},
     {"EPTSPC", MakeConfig(true, true, true)},
-    {"COMPILED", MakeConfig(true, true, true, true)},
-    {"VCACHE", MakeConfig(true, true, true, true, true)},
-    {"AUTOMATA", MakeConfig(true, true, true, true, true, /*automata=*/false)},
-    {"TRACE", MakeConfig(true, true, true, true, true), true},
-    {"AUDIT", MakeConfig(true, true, true, true, true), false, true},
+    {"REFERENCE", MakeConfig(true, true, true), false, false, true},
+    {"VCACHE", MakeConfig(true, true, true, true)},
+    {"AUTOMATA", MakeConfig(true, true, true, true, /*automata=*/false)},
+    {"TRACE", MakeConfig(true, true, true, true), true},
+    {"AUDIT", MakeConfig(true, true, true, true), false, true},
 };
 
 // A rule base mixing every decision source: entrypoint-indexed drops (some
@@ -158,12 +162,15 @@ std::vector<uint64_t> DecisionCounters(const EngineStats& s) {
 
 // Replays the seeded workload against one engine configuration and returns
 // the full verdict sequence plus each task's final STATE dictionary.
+// `reference` decides every request through the reference tree walker
+// instead of the engine's evaluator.
 std::vector<int64_t> Replay(const EngineConfig& cfg,
                             std::vector<std::map<std::string, int64_t>>* dicts,
                             bool traced = false,
                             std::vector<uint64_t>* counters = nullptr,
-                            bool audited = false) {
+                            bool audited = false, bool reference = false) {
   Workload w(cfg);
+  ReferenceWalker walker(*w.engine);
   if (traced) {
     w.engine->trace().Enable();
   }
@@ -216,7 +223,7 @@ std::vector<int64_t> Replay(const EngineConfig& cfg,
         break;
       }
     }
-    verdicts.push_back(w.engine->Authorize(req));
+    verdicts.push_back(reference ? walker.Authorize(req) : w.engine->Authorize(req));
   }
   if (dicts != nullptr) {
     dicts->clear();
@@ -245,7 +252,8 @@ TEST(AblationEquivalenceTest, AllConfigsProduceIdenticalVerdictSequences) {
   for (size_t c = 1; c < std::size(kConfigs); ++c) {
     std::vector<std::map<std::string, int64_t>> dicts;
     std::vector<int64_t> got = Replay(kConfigs[c].cfg, &dicts, kConfigs[c].traced,
-                                      nullptr, kConfigs[c].audited);
+                                      nullptr, kConfigs[c].audited,
+                                      kConfigs[c].reference);
     ASSERT_EQ(got.size(), base.size()) << kConfigs[c].name;
     for (size_t i = 0; i < base.size(); ++i) {
       ASSERT_EQ(got[i], base[i])
@@ -260,7 +268,7 @@ TEST(AblationEquivalenceTest, TracingIsAPureObserver) {
   // all tracepoints live must reproduce not just the verdict sequence but
   // the decision counters bit for bit — tracing may add trace_records, but
   // it may not perturb what the engine counted about its own decisions.
-  const EngineConfig cfg = MakeConfig(true, true, true, true, true);
+  const EngineConfig cfg = MakeConfig(true, true, true, true);
   std::vector<std::map<std::string, int64_t>> dicts_off, dicts_on;
   std::vector<uint64_t> counters_off, counters_on;
   std::vector<int64_t> off = Replay(cfg, &dicts_off, false, &counters_off);
@@ -278,7 +286,7 @@ TEST(AblationEquivalenceTest, AuditIsAPureObserver) {
   if (!trace::kTraceCompiledIn) {
     GTEST_SKIP() << "observability compiled out (PF_NO_TRACE)";
   }
-  const EngineConfig cfg = MakeConfig(true, true, true, true, true);
+  const EngineConfig cfg = MakeConfig(true, true, true, true);
   std::vector<std::map<std::string, int64_t>> dicts_off, dicts_on;
   std::vector<uint64_t> counters_off, counters_on;
   std::vector<int64_t> off = Replay(cfg, &dicts_off, false, &counters_off);
@@ -300,7 +308,7 @@ TEST(AblationEquivalenceTest, AutomataLoweringPreservesHitCountersAndRemovesBypa
                          std::vector<std::map<std::string, int64_t>>* dicts,
                          EngineStats* stats) {
     const EngineConfig cfg =
-        MakeConfig(true, true, true, true, true, automata);
+        MakeConfig(true, true, true, true, automata);
     std::vector<int64_t> verdicts = Replay(cfg, dicts);
     // Replay tears the workload down, so run it again inline to read hit
     // counters off the live ruleset.

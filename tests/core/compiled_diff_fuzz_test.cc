@@ -1,17 +1,18 @@
-// Differential fuzzing of the compiled evaluator against the legacy tree
-// walker: seeded random rule bases (five generator flavors, see
-// fuzz_rules.h) replayed over seeded random operation streams, with the
-// evaluator selection (legacy walker / compiled switch loop) as the only
-// difference between runs, under both entrypoint-index modes. Everything
-// observable must be bit-identical between the two — the verdict sequence,
-// per-task STATE dictionaries, LOG records, rule counters (via the List()
-// rendering), and the engine statistics, including the context-fetch
-// counters that would expose a divergent EnsureContext order.
+// Differential fuzzing of the engine's compiled evaluator against the
+// reference tree walker (reference_walker.h): seeded random rule bases (five
+// generator flavors, see fuzz_rules.h) replayed over seeded random operation
+// streams, with the evaluator (reference walker / Engine::Authorize) as the
+// only difference between runs, under both entrypoint-index modes.
+// Everything observable must be bit-identical between the two — the verdict
+// sequence, per-task STATE dictionaries, LOG records, rule counters (via the
+// List() rendering), the decision counters (the walker's own vs the
+// engine's), and the engine's context statistics, including the
+// context-fetch counters that would expose a divergent EnsureContext order.
 //
 // A three-way diff covers the stateful verdict-cache tier: automata
 // on (STATE decisions cached under automaton-extended keys, effects replayed
 // on hits) vs automata off (STATE decisions bypass and traverse every time)
-// vs the uncached legacy walker. Everything a caller or auditor can observe
+// vs the uncached reference walker. Everything a caller or auditor can observe
 // — verdicts, dictionaries, LOG records, native fires, drop totals — must be
 // bit-identical across the three builds, and the per-rule hit counters must
 // agree between the two cached builds (stateful replay == bypass traversal).
@@ -39,6 +40,7 @@
 #include "src/core/pftables.h"
 #include "src/sim/sysimage.h"
 #include "tests/core/fuzz_rules.h"
+#include "tests/core/reference_walker.h"
 
 namespace pf::core {
 namespace {
@@ -57,8 +59,9 @@ std::vector<uint64_t>& SeedList() {
   return seeds;
 }
 
-// The two evaluator builds under diff (EngineConfig::compiled_eval).
-enum class Mode { kLegacy, kCompiled };
+// The two evaluators under diff: the reference tree walker driven over the
+// engine's published program, and the engine's own Authorize.
+enum class Mode { kReference, kCompiled };
 
 // --- workload ----------------------------------------------------------------
 
@@ -77,14 +80,14 @@ struct FuzzRun {
 // labels), installs the seed's flavor-specific rule base, and replays the
 // seeded operation stream under the requested evaluator. `vcache`/`automata`
 // select the stateful-tier build for the cache equivalence diff; the
-// evaluator diffs keep the cache off, as it would hide traversal differences.
+// evaluator diffs keep the cache off, as it would hide traversal differences
+// (the reference walker never consults it).
 // `rules` overrides the seed-derived rule base (the seed still drives the
 // operation stream).
 FuzzRun Replay(uint64_t seed, Mode mode, bool ept, bool vcache = false,
                bool automata = true,
                const std::vector<std::string>* rules = nullptr) {
   EngineConfig cfg;
-  cfg.compiled_eval = mode == Mode::kCompiled;
   cfg.ept_chains = ept;
   cfg.verdict_cache = vcache;
   cfg.automata = automata;
@@ -94,6 +97,7 @@ FuzzRun Replay(uint64_t seed, Mode mode, bool ept, bool vcache = false,
   sim::BuildSysImage(kernel);
   apps::InstallPrograms(kernel);
   Engine* engine = InstallProcessFirewall(kernel, cfg);
+  ReferenceWalker walker(*engine);
   Pftables pft(engine);
   fuzzgen::RegisterFuzzModules(pft, &out.count_fires);
 
@@ -173,7 +177,8 @@ FuzzRun Replay(uint64_t seed, Mode mode, bool ept, bool vcache = false,
         req.syscall_nr = static_cast<sim::SyscallNr>(rng() % 8);
         break;
     }
-    out.verdicts.push_back(engine->Authorize(req));
+    out.verdicts.push_back(mode == Mode::kReference ? walker.Authorize(req)
+                                                    : engine->Authorize(req));
   }
 
   for (auto& task : tasks) {
@@ -188,6 +193,16 @@ FuzzRun Replay(uint64_t seed, Mode mode, bool ept, bool vcache = false,
   out.listing = pft.List();
   out.compiled_listing = pft.ListCompiled();
   out.stats = engine->stats();
+  if (mode == Mode::kReference) {
+    // The walker counts its own decisions; context and unwind counters are
+    // the engine's, since the walker fetches through EnsureContext.
+    const ReferenceWalker::Stats& ws = walker.stats();
+    out.stats.invocations = ws.invocations;
+    out.stats.drops = ws.drops;
+    out.stats.audited_drops = ws.audited_drops;
+    out.stats.rules_evaluated = ws.rules_evaluated;
+    out.stats.ept_chain_hits = ws.ept_chain_hits;
+  }
   return out;
 }
 
@@ -236,9 +251,9 @@ TEST(CompiledDiffFuzzTest, ThreeWayEquivalenceAcrossSeeds) {
         fuzzgen::FlavorName(fuzzgen::FlavorForSeed(seed));
     for (bool ept : {true, false}) {
       const std::string what = tag + (ept ? " ept=on" : " ept=off");
-      FuzzRun legacy = Replay(seed, Mode::kLegacy, ept);
+      FuzzRun reference = Replay(seed, Mode::kReference, ept);
       FuzzRun compiled = Replay(seed, Mode::kCompiled, ept);
-      ExpectBitEquivalent(legacy, compiled, what + " compiled-vs-legacy");
+      ExpectBitEquivalent(reference, compiled, what + " compiled-vs-reference");
       if (::testing::Test::HasFailure()) {
         DumpFailure(seed, ept, compiled);
         return;  // first divergence wins; later seeds would bury the dump
@@ -268,25 +283,26 @@ void ExpectObservablyEquivalent(const FuzzRun& want, const FuzzRun& got,
 }
 
 // Stateful-tier three-way diff over the fuzz corpus: automata-cached vs
-// interpreted-STATE-cached vs uncached legacy. The fuzz flavors sprinkle LOG
-// and native escapes through nearly every chain, so most decisions ride the
-// bypass path in both cached builds — which is exactly what this sweep pins
-// down: lowering must classify those closures identically and the bypass
-// traversal must stay bit-identical to the walker.
+// interpreted-STATE-cached vs the uncached reference walker. The fuzz flavors
+// sprinkle LOG and native escapes through nearly every chain, so most
+// decisions ride the bypass path in both cached builds — which is exactly
+// what this sweep pins down: lowering must classify those closures
+// identically and the bypass traversal must stay bit-identical to the
+// walker.
 TEST(CompiledDiffFuzzTest, AutomataCacheEquivalenceAcrossSeeds) {
   uint64_t interp_bypasses = 0;
   for (uint64_t seed : SeedList()) {
     const std::string tag =
         "seed=" + std::to_string(seed) + " flavor=" +
         fuzzgen::FlavorName(fuzzgen::FlavorForSeed(seed));
-    FuzzRun legacy =
-        Replay(seed, Mode::kLegacy, /*ept=*/true, /*vcache=*/false, /*automata=*/false);
+    FuzzRun reference = Replay(seed, Mode::kReference, /*ept=*/true, /*vcache=*/false,
+                               /*automata=*/false);
     FuzzRun interp =
         Replay(seed, Mode::kCompiled, /*ept=*/true, /*vcache=*/true, /*automata=*/false);
     FuzzRun automata =
         Replay(seed, Mode::kCompiled, /*ept=*/true, /*vcache=*/true, /*automata=*/true);
-    ExpectObservablyEquivalent(legacy, interp, tag + " interp-cache-vs-legacy");
-    ExpectObservablyEquivalent(legacy, automata, tag + " automata-cache-vs-legacy");
+    ExpectObservablyEquivalent(reference, interp, tag + " interp-cache-vs-reference");
+    ExpectObservablyEquivalent(reference, automata, tag + " automata-cache-vs-reference");
     // Pure cache hits skip the traversal and its per-rule hit bumps in both
     // cached builds (long-standing cache semantics), so counters are compared
     // between the two cached builds: a stateful hit's effect replay must bump
@@ -309,8 +325,9 @@ TEST(CompiledDiffFuzzTest, AutomataCacheEquivalenceAcrossSeeds) {
 // STATE protocol (set / unset / compare, all literal) over the same seeded
 // operation stream. The automata build must serve this workload from the
 // stateful tier with zero bypasses and still be observably identical to the
-// interpreted-bypass build and the uncached walker — including per-rule hit
-// counters, whose only source on a stateful hit is the effect replay.
+// interpreted-bypass build and the uncached reference walker — including
+// per-rule hit counters, whose only source on a stateful hit is the effect
+// replay.
 TEST(CompiledDiffFuzzTest, AutomataTierEngagesAndMatchesUncachedBuilds) {
   const std::vector<std::string> rules = {
       "pftables -o SOCKET_BIND -j STATE --set --key b --value 1",
@@ -320,14 +337,14 @@ TEST(CompiledDiffFuzzTest, AutomataTierEngagesAndMatchesUncachedBuilds) {
       "pftables -A syscallbegin -m STATE --key k0 --cmp 2 -j DROP",
   };
   const uint64_t seed = SeedList().empty() ? kSeedBase : SeedList().front();
-  FuzzRun legacy = Replay(seed, Mode::kLegacy, /*ept=*/true, /*vcache=*/false,
-                          /*automata=*/false, &rules);
+  FuzzRun reference = Replay(seed, Mode::kReference, /*ept=*/true, /*vcache=*/false,
+                             /*automata=*/false, &rules);
   FuzzRun interp = Replay(seed, Mode::kCompiled, /*ept=*/true, /*vcache=*/true,
                           /*automata=*/false, &rules);
   FuzzRun automata = Replay(seed, Mode::kCompiled, /*ept=*/true, /*vcache=*/true,
                             /*automata=*/true, &rules);
-  ExpectObservablyEquivalent(legacy, interp, "stateful interp-cache-vs-legacy");
-  ExpectObservablyEquivalent(legacy, automata, "stateful automata-cache-vs-legacy");
+  ExpectObservablyEquivalent(reference, interp, "stateful interp-cache-vs-reference");
+  ExpectObservablyEquivalent(reference, automata, "stateful automata-cache-vs-reference");
   EXPECT_EQ(automata.hits, interp.hits)
       << "per-rule hit counters diverge (hit replay missed a rule)";
 

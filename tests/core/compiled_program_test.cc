@@ -1,8 +1,9 @@
 // Compiled PF programs: commit-time lowering into the arena-packed form
 // (program.h), the `pftables -L --compiled` disassembly, and the compiled
-// evaluator. Bit-equivalence with the legacy walker is covered separately by
-// the COMPILED ablation rung and the differential fuzz test; these tests pin
-// the structure of the artifact itself.
+// evaluator. Bit-equivalence with the reference tree walker
+// (reference_walker.h) is covered separately by the REFERENCE ablation rung
+// and the differential fuzz test; these tests pin the structure of the
+// artifact itself.
 
 #include <gtest/gtest.h>
 
@@ -227,7 +228,6 @@ TEST_F(CompiledProgramTest, NativeEscapesDispatchIntoModules) {
     return Status::Ok();
   });
   ASSERT_TRUE(pft_.Exec("pftables -o FILE_OPEN -d etc_t -j COUNT").ok());
-  ASSERT_TRUE(engine_->config().compiled_eval);
 
   std::string disasm = pft_.ListCompiled();
   EXPECT_NE(disasm.find("TARGET_NATIVE COUNT"), std::string::npos);
@@ -241,7 +241,6 @@ TEST_F(CompiledProgramTest, NativeEscapesDispatchIntoModules) {
 }
 
 TEST_F(CompiledProgramTest, CompiledEvaluatorEnforces) {
-  ASSERT_TRUE(engine_->config().compiled_eval) << "compiled evaluation is the default";
   ASSERT_TRUE(pft_.Exec("pftables -o FILE_OPEN -d shadow_t -j DROP").ok());
   Pid pid = sched().Spawn({.exe = sim::kBinTrue}, [](Proc& p) {
     EXPECT_EQ(p.Open("/etc/shadow", sim::kORdOnly), sim::SysError(sim::Err::kAcces));

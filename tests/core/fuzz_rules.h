@@ -9,7 +9,8 @@
 //   kNativeHeavy dominated by native-escape modules (ODD_INO / COUNT)
 //   kDeepJumps   a JUMP nest of exactly kMaxChainDepth chains, so the last
 //                chain sits on the runtime depth cutoff (entered at depth
-//                kMaxChainDepth, where ExecChain/TraverseChain bail)
+//                kMaxChainDepth, where the evaluator's ExecChain and the
+//                reference walker's TraverseChain bail)
 //   kSparse      empty and one-rule chains, single-op buckets
 //
 // The flavor is derived from the seed (seed % kFlavorCount), so a failing
@@ -318,9 +319,10 @@ inline std::vector<std::string> NativeHeavyRules(std::mt19937_64& rng) {
 
 // A JUMP nest of exactly kMaxChainDepth user chains: d1 is entered at depth
 // 1, d<kMaxChainDepth-1> at the last depth that still executes, and
-// d<kMaxChainDepth> at the runtime cutoff itself (ExecChain/TraverseChain
-// fall through without evaluating it). All three evaluators must agree on
-// that boundary; the verifier flags the cut chain with a depth warning.
+// d<kMaxChainDepth> at the runtime cutoff itself (the evaluator's ExecChain
+// and the reference walker's TraverseChain fall through without evaluating
+// it). Both must agree on that boundary, and so must the symbolic model; the
+// verifier flags the cut chain with a depth warning.
 inline std::vector<std::string> DeepJumpRules(std::mt19937_64& rng) {
   std::vector<std::string> rules;
   const int depth = kMaxChainDepth;
